@@ -40,7 +40,7 @@ use ipas_faultsim::rounds::{
 };
 use ipas_faultsim::{
     profile_sites, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
-    CompiledProgram, Engine, FaultModel, Injection, InjectionRecord, JournalHeader, PlanOutcome,
+    CompiledCampaign, FaultModel, Injection, InjectionRecord, JournalHeader, PlanOutcome,
     ResumeState, SamplingMode, SiteCount, Workload,
 };
 use ipas_svm::{Dataset, GridOptions};
@@ -412,10 +412,10 @@ pub fn run_campaign_adaptive(
         }
         None => (None, ResumeState::default()),
     };
-    let compiled = match config.engine {
-        Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-        Engine::Reference => None,
-    };
+    // Rounds draw site-restricted plans only, which always run from the
+    // entry point: no ladder is captured.
+    let compiled = CompiledCampaign::prepare(workload, config.engine, options, []);
+    let mut checkpoints = CompiledCampaign::stats_of(compiled.as_ref());
     let mut outcomes: Vec<(usize, PlanOutcome)> = Vec::new();
     let mut labeled: Vec<(usize, InjectionRecord)> = Vec::new();
     let mut rounds = Vec::new();
@@ -458,6 +458,7 @@ pub fn run_campaign_adaptive(
             executed: exec.executed,
         });
         resumed_total += exec.resumed;
+        checkpoints += exec.checkpoints;
         base += plans.len();
         outcomes.extend(exec.outcomes);
     }
@@ -476,6 +477,7 @@ pub fn run_campaign_adaptive(
             harness_failures,
             resumed: resumed_total,
             nominal_insts: workload.nominal_insts,
+            checkpoints,
         },
         rounds,
         stopped_early: driver.stopped_early(),

@@ -186,6 +186,7 @@ pub fn run_campaign_incremental(
     let exec = execute_sections(workload, config, options, &plans, &assignment, &mask)?;
     let executed = exec.executed;
     let resumed = exec.resumed;
+    let checkpoints = exec.checkpoints;
 
     // Persist fresh sections' profiles (cached ones are already stored
     // under the identical key — fingerprint, digest, and identity all
@@ -240,7 +241,8 @@ pub fn run_campaign_incremental(
         .outcomes
         .into_iter()
         .chain(cached.into_iter().flatten().flatten());
-    let result = splice_outcomes(plans.len(), spliced, resumed, workload.nominal_insts)?;
+    let mut result = splice_outcomes(plans.len(), spliced, resumed, workload.nominal_insts)?;
+    result.checkpoints = checkpoints;
 
     Ok(IncrementalOutcome {
         result,

@@ -61,6 +61,11 @@
 //! [`Engine::Reference`] tree-walks the IR directly. The two are
 //! bit-identical — same seed, same records, byte for byte — so the knob
 //! only trades throughput, never results (see `docs/interpreter.md`).
+//! On the compiled engine, [`CompiledCampaign`] also captures a
+//! golden-state checkpoint [`Ladder`]: each run starts at the latest
+//! golden checkpoint before its target and stops once its state
+//! reconverges with golden, with records unchanged
+//! ([`CampaignResult::checkpoints`] reports what it saved).
 
 #![warn(missing_docs)]
 
@@ -75,11 +80,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use ipas_interp::{Machine, OutputStream, RtVal, RunConfig, RunError, RunOutput, RunStatus};
+use ipas_interp::{
+    Machine, OutputStream, RtVal, RunConfig, RunError, RunOutput, RunStatus, Skipped,
+    MAX_CHECKPOINTS,
+};
 use ipas_ir::{FuncId, InstId, Module};
 use rand::{Rng, SeedableRng};
 
-pub use ipas_interp::{CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, SiteClass};
+pub use ipas_interp::{
+    CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, Ladder, SiteClass,
+};
 pub use journal::{
     outcome_line, outcome_line_in_section, CampaignJournal, JournalError, JournalHeader,
     ResumeState,
@@ -370,9 +380,11 @@ impl Workload {
     }
 }
 
+/// The clean run on the compiled engine (bit-identical to the
+/// reference, and several times faster).
 fn golden_run(module: &Module, entry: &str, args: &[RtVal]) -> Result<RunOutput, WorkloadError> {
-    let mut machine = Machine::new(module);
-    let out = machine
+    let program = CompiledProgram::compile(module);
+    let out = CompiledMachine::new(&program)
         .run(&RunConfig {
             entry: entry.to_string(),
             args: args.to_vec(),
@@ -642,6 +654,60 @@ pub struct CampaignResult {
     pub resumed: usize,
     /// Nominal (clean) dynamic instruction count of the workload.
     pub nominal_insts: u64,
+    /// What the golden-state checkpoint ladder saved (all zero on the
+    /// reference engine or when no ladder was built).
+    pub checkpoints: CheckpointStats,
+}
+
+/// Golden-state checkpoint counters of a campaign: the ladder's size
+/// and the instructions its runs did not execute. Observability only —
+/// records are the same with or without a ladder.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointStats {
+    /// Checkpoints in the campaign's ladder.
+    pub snapshots: usize,
+    /// Bytes of snapshot state the ladder holds.
+    pub snapshot_bytes: usize,
+    /// Fault-free prefix instructions restored from checkpoints
+    /// instead of executed.
+    pub prefix_skipped_insts: u64,
+    /// Golden suffix instructions not executed after reconvergence.
+    pub suffix_skipped_insts: u64,
+    /// Runs whose state matched a golden checkpoint after the fault.
+    pub reconverged_runs: usize,
+}
+
+impl CheckpointStats {
+    fn record(&mut self, skipped: Skipped) {
+        self.prefix_skipped_insts += skipped.prefix;
+        self.suffix_skipped_insts += skipped.suffix;
+        self.reconverged_runs += usize::from(skipped.reconverged);
+    }
+}
+
+impl std::ops::AddAssign for CheckpointStats {
+    fn add_assign(&mut self, other: CheckpointStats) {
+        self.snapshots += other.snapshots;
+        self.snapshot_bytes += other.snapshot_bytes;
+        self.prefix_skipped_insts += other.prefix_skipped_insts;
+        self.suffix_skipped_insts += other.suffix_skipped_insts;
+        self.reconverged_runs += other.reconverged_runs;
+    }
+}
+
+impl fmt::Display for CheckpointStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} snapshots ({} bytes), {} prefix and {} suffix instructions skipped, \
+             {} runs reconverged",
+            self.snapshots,
+            self.snapshot_bytes,
+            self.prefix_skipped_insts,
+            self.suffix_skipped_insts,
+            self.reconverged_runs
+        )
+    }
 }
 
 impl CampaignResult {
@@ -844,29 +910,39 @@ pub struct PlanExecutor<'w> {
     retry: RetryPolicy,
     run_deadline: Option<Duration>,
     budget: u64,
+    checkpoints: CheckpointStats,
 }
 
 impl<'w> PlanExecutor<'w> {
     /// Builds an executor for one worker. Pass the campaign's shared
-    /// [`CompiledProgram`] lowering to run on the compiled engine, or
-    /// `None` for the reference tree-walker.
+    /// [`CompiledCampaign`] to run on the compiled engine (from its
+    /// golden-state ladder when it has one), or `None` for the
+    /// reference tree-walker.
     pub fn new(
         workload: &'w Workload,
         seed: u64,
         options: &CampaignOptions,
-        compiled: Option<&'w CompiledProgram>,
+        compiled: Option<&'w CompiledCampaign>,
     ) -> Self {
         PlanExecutor {
             workload,
             runner: match compiled {
-                Some(program) => Runner::Compiled(CompiledMachine::new(program)),
+                Some(c) => Runner::Compiled(CompiledMachine::new(&c.program), c.ladder.as_ref()),
                 None => Runner::Reference(&workload.module),
             },
             seed,
             retry: options.retry,
             run_deadline: options.run_deadline,
             budget: RunConfig::budget_from_nominal(workload.nominal_insts),
+            checkpoints: CheckpointStats::default(),
         }
+    }
+
+    /// Instructions this executor's runs skipped through the ladder so
+    /// far (the snapshot fields stay zero; see
+    /// [`CompiledCampaign::stats_of`]).
+    pub fn checkpoints(&self) -> CheckpointStats {
+        self.checkpoints
     }
 
     /// Executes one plan under panic isolation and the retry policy.
@@ -886,6 +962,7 @@ impl<'w> PlanExecutor<'w> {
                 classify_plan(
                     self.workload,
                     &mut self.runner,
+                    &mut self.checkpoints,
                     self.run_deadline,
                     self.budget,
                     plan,
@@ -912,23 +989,124 @@ impl<'w> PlanExecutor<'w> {
 }
 
 /// One worker's execution engine. The compiled variant holds a
-/// resettable machine over the campaign's shared [`CompiledProgram`],
-/// so per-run allocations amortize across the worker's whole plan
-/// stream; the reference variant rebuilds its (stateless) machine per
-/// attempt.
+/// resettable machine over the campaign's shared [`CompiledProgram`]
+/// (and its ladder, if any), so per-run allocations amortize across the
+/// worker's whole plan stream; the reference variant rebuilds its
+/// (stateless) machine per attempt.
 enum Runner<'w> {
     Reference(&'w Module),
-    Compiled(CompiledMachine<'w>),
+    Compiled(CompiledMachine<'w>, Option<&'w Ladder>),
 }
 
 impl Runner<'_> {
-    fn run(&mut self, config: &RunConfig) -> Result<RunOutput, RunError> {
+    fn run(
+        &mut self,
+        config: &RunConfig,
+        checkpoints: &mut CheckpointStats,
+    ) -> Result<RunOutput, RunError> {
         match self {
             Runner::Reference(module) => Machine::new(module).run(config),
-            // `CompiledMachine::run` resets all machine state first, so
-            // a previous panicking attempt cannot contaminate this one.
-            Runner::Compiled(machine) => machine.run(config),
+            // Compiled runs reset all machine state first, so a previous
+            // panicking attempt cannot contaminate this one.
+            Runner::Compiled(machine, None) => machine.run(config),
+            Runner::Compiled(machine, Some(ladder)) => {
+                let (out, skipped) = machine.run_checkpointed(config, ladder)?;
+                checkpoints.record(skipped);
+                Ok(out)
+            }
         }
+    }
+}
+
+/// A campaign's compiled engine: the one [`CompiledProgram`] lowering
+/// of the workload plus, when plans can use it, the golden-state
+/// [`Ladder`] captured from one clean run. Built once per campaign and
+/// shared read-only by every worker and chunk.
+///
+/// The ladder is skipped when no pending plan could use it: on
+/// wall-clock-guarded campaigns (the watchdog measures from run start)
+/// and when every pending plan is site-restricted (static-site and
+/// adaptive sampling).
+#[derive(Debug)]
+pub struct CompiledCampaign {
+    program: CompiledProgram,
+    ladder: Option<Ladder>,
+}
+
+impl CompiledCampaign {
+    /// Lowers `workload` for `engine` (`None` on the reference engine)
+    /// and captures its ladder when one of the `pending` plans can
+    /// start from it.
+    pub fn prepare(
+        workload: &Workload,
+        engine: Engine,
+        options: &CampaignOptions,
+        pending: impl IntoIterator<Item = Injection>,
+    ) -> Option<CompiledCampaign> {
+        if engine == Engine::Reference {
+            return None;
+        }
+        let program = CompiledProgram::compile(&workload.module);
+        let ladder = if options.run_deadline.is_none()
+            && pending.into_iter().any(|plan| plan.site.is_none())
+        {
+            let spacing = workload.nominal_insts.div_ceil(MAX_CHECKPOINTS as u64);
+            let budget = RunConfig::budget_from_nominal(workload.nominal_insts);
+            let config = plan_config(workload, budget, None, None);
+            // Capturing on a thread of its own keeps the snapshots out of
+            // the caller's malloc arena: measured on glibc, a ladder built
+            // on the calling thread raised peak RSS by up to twice as much
+            // and erratically from one process to the next.
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        CompiledMachine::new(&program)
+                            .capture_ladder(&config, spacing)
+                            .ok()
+                            .flatten()
+                    })
+                    .join()
+                    .ok()
+                    .flatten()
+            })
+        } else {
+            None
+        };
+        Some(CompiledCampaign { program, ladder })
+    }
+
+    /// The golden-state ladder, when one was captured.
+    pub fn ladder(&self) -> Option<&Ladder> {
+        self.ladder.as_ref()
+    }
+
+    /// The ladder's size as campaign counters (skip counts zero); all
+    /// zero without a compiled campaign or ladder.
+    pub fn stats_of(compiled: Option<&CompiledCampaign>) -> CheckpointStats {
+        let ladder = compiled.and_then(CompiledCampaign::ladder);
+        CheckpointStats {
+            snapshots: ladder.map_or(0, Ladder::len),
+            snapshot_bytes: ladder.map_or(0, Ladder::bytes),
+            ..CheckpointStats::default()
+        }
+    }
+}
+
+/// The run configuration of one injection run of `workload`.
+fn plan_config(
+    workload: &Workload,
+    budget: u64,
+    plan: Option<Injection>,
+    run_deadline: Option<Duration>,
+) -> RunConfig {
+    RunConfig {
+        entry: workload.entry.clone(),
+        args: workload.args.clone(),
+        max_insts: budget,
+        injection: plan,
+        profile_sites: false,
+        trace_eligible: false,
+        wall_limit: run_deadline,
     }
 }
 
@@ -1002,12 +1180,15 @@ pub fn run_campaign_with(
     let abort = AtomicBool::new(false);
     let journal_error: Mutex<Option<JournalError>> = Mutex::new(None);
 
-    // One lowering for the whole campaign; worker threads share it and
-    // each run a private resettable machine against it.
-    let compiled = match config.engine {
-        Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-        Engine::Reference => None,
-    };
+    // One lowering (and ladder) for the whole campaign; worker threads
+    // share it and each run a private resettable machine against it.
+    let compiled = CompiledCampaign::prepare(
+        workload,
+        config.engine,
+        options,
+        pending.iter().map(|&i| plans[i]),
+    );
+    let checkpoints = Mutex::new(CompiledCampaign::stats_of(compiled.as_ref()));
 
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
@@ -1040,6 +1221,7 @@ pub fn run_campaign_with(
                     }
                     *lock_ignoring_poison(&slots[i]) = Some(slot);
                 }
+                *lock_ignoring_poison(&checkpoints) += executor.checkpoints();
             });
         }
     });
@@ -1068,6 +1250,7 @@ pub fn run_campaign_with(
         harness_failures,
         resumed,
         nominal_insts: workload.nominal_insts,
+        checkpoints: checkpoints.into_inner().unwrap_or_else(|e| e.into_inner()),
     })
 }
 
@@ -1082,21 +1265,17 @@ fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn classify_plan(
     workload: &Workload,
     runner: &mut Runner<'_>,
+    checkpoints: &mut CheckpointStats,
     run_deadline: Option<Duration>,
     budget: u64,
     plan: Injection,
     attempt: u32,
 ) -> Result<InjectionRecord, String> {
     let out = runner
-        .run(&RunConfig {
-            entry: workload.entry.clone(),
-            args: workload.args.clone(),
-            max_insts: budget,
-            injection: Some(plan),
-            profile_sites: false,
-            trace_eligible: false,
-            wall_limit: run_deadline,
-        })
+        .run(
+            &plan_config(workload, budget, Some(plan), run_deadline),
+            checkpoints,
+        )
         .map_err(|e| format!("interpreter rejected the run: {e}"))?;
     let site = out
         .injected_site

@@ -32,8 +32,8 @@ use rand::Rng;
 
 use crate::{
     lock_ignoring_poison, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions,
-    CompiledProgram, FaultModel, Injection, PlanExecutor, PlanOutcome, ResumeState, SiteCount,
-    Workload,
+    CheckpointStats, CompiledCampaign, FaultModel, Injection, PlanExecutor, PlanOutcome,
+    ResumeState, SiteCount, Workload,
 };
 
 /// Why an adaptive round degraded to uniform site sampling instead of
@@ -157,6 +157,9 @@ pub struct RoundExecution {
     pub resumed: usize,
     /// Plans actually executed by this invocation.
     pub executed: usize,
+    /// What the golden-state ladder saved the executed plans (the
+    /// snapshot fields stay zero: the ladder belongs to the campaign).
+    pub checkpoints: CheckpointStats,
 }
 
 /// Executes one round's plans (global indices `base..base + plans.len()`)
@@ -181,7 +184,7 @@ pub fn execute_round(
     workload: &Workload,
     config: &CampaignConfig,
     options: &CampaignOptions,
-    compiled: Option<&CompiledProgram>,
+    compiled: Option<&CompiledCampaign>,
     journal: Option<&CampaignJournal>,
     resume: &ResumeState,
     base: usize,
@@ -214,6 +217,7 @@ pub fn execute_round(
         config.threads
     };
     let next = AtomicUsize::new(0);
+    let checkpoints = Mutex::new(CheckpointStats::default());
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             scope.spawn(|| {
@@ -227,6 +231,7 @@ pub fn execute_round(
                     let slot = executor.execute(base + j, plans[j]);
                     *lock_ignoring_poison(&slots[j]) = Some(slot);
                 }
+                *lock_ignoring_poison(&checkpoints) += executor.checkpoints();
             });
         }
     });
@@ -255,6 +260,7 @@ pub fn execute_round(
         outcomes,
         resumed,
         executed,
+        checkpoints: checkpoints.into_inner().unwrap_or_else(|e| e.into_inner()),
     })
 }
 

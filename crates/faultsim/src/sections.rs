@@ -36,7 +36,7 @@ use ipas_ir::{FuncId, InstId};
 
 use crate::{
     draw_plans, lock_ignoring_poison, profile_sites, CampaignConfig, CampaignError,
-    CampaignJournal, CampaignOptions, CampaignResult, CompiledProgram, Engine, Injection,
+    CampaignJournal, CampaignOptions, CampaignResult, CheckpointStats, CompiledCampaign, Injection,
     JournalHeader, PlanExecutor, PlanOutcome, ResumeState, SiteCount, Workload,
 };
 
@@ -191,6 +191,8 @@ pub struct SectionExecution {
     pub resumed: usize,
     /// Selected plans actually (re-)executed by this invocation.
     pub executed: usize,
+    /// What the golden-state ladder saved the executed plans.
+    pub checkpoints: CheckpointStats,
 }
 
 /// Executes the plans of every section whose `run_mask` entry is true,
@@ -270,10 +272,13 @@ pub fn execute_sections(
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let journal_error: Mutex<Option<crate::JournalError>> = Mutex::new(None);
-    let compiled = match config.engine {
-        Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-        Engine::Reference => None,
-    };
+    let compiled = CompiledCampaign::prepare(
+        workload,
+        config.engine,
+        options,
+        pending.iter().map(|&i| plans[i]),
+    );
+    let checkpoints = Mutex::new(CompiledCampaign::stats_of(compiled.as_ref()));
 
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
@@ -305,6 +310,7 @@ pub fn execute_sections(
                     }
                     *lock_ignoring_poison(&slots[i]) = Some(slot);
                 }
+                *lock_ignoring_poison(&checkpoints) += executor.checkpoints();
             });
         }
     });
@@ -332,6 +338,7 @@ pub fn execute_sections(
         outcomes,
         resumed,
         executed,
+        checkpoints: checkpoints.into_inner().unwrap_or_else(|e| e.into_inner()),
     })
 }
 
@@ -381,6 +388,7 @@ pub fn splice_outcomes(
         harness_failures,
         resumed,
         nominal_insts,
+        checkpoints: CheckpointStats::default(),
     })
 }
 
@@ -422,12 +430,13 @@ pub fn run_campaign_sectional(
     let assignment = assign_sections(workload, &partition, &plans)?;
     let mask = vec![true; partition.len()];
     let exec = execute_sections(workload, config, options, &plans, &assignment, &mask)?;
-    let result = splice_outcomes(
+    let mut result = splice_outcomes(
         plans.len(),
         exec.outcomes,
         exec.resumed,
         workload.nominal_insts,
     )?;
+    result.checkpoints = exec.checkpoints;
     Ok(SectionalCampaign {
         partition,
         assignment,

@@ -24,7 +24,8 @@ use ipas_ir::{parser::parse_module, Module};
 pub enum OracleKind {
     /// Reference interpreter vs pre-decoded compiled engine: every
     /// observable field of [`RunOutput`] must match bit-for-bit, on
-    /// clean runs and under injected faults.
+    /// clean runs and under injected faults — and each injected run
+    /// resumed from golden checkpoints must match the full run.
     EngineDiff,
     /// Printed IR must re-parse to a module that prints identically.
     Roundtrip,
@@ -94,6 +95,12 @@ impl Divergence {
         }
     }
 }
+
+/// Golden-checkpoint spacing of the engine-diff oracle's checkpointed
+/// runs, in dynamic instructions: tight enough that generated programs
+/// of a few dozen instructions still get several checkpoints (longer
+/// ones thin to the ladder's checkpoint cap).
+pub const CHECKPOINT_SPACING: u64 = 8;
 
 /// Bounded config used for all oracle runs: generated programs retire
 /// well under this budget unless they genuinely hang.
@@ -228,13 +235,23 @@ pub fn check_engine_diff_model(module: &Module, model: FaultModel) -> Option<Div
     };
     let domain = model.bit_domain();
     let budget = RunConfig::budget_from_nominal(reference.dynamic_insts);
+    let budgeted = RunConfig {
+        max_insts: budget,
+        ..RunConfig::default()
+    };
+    // Checkpointed-vs-full mode: a golden ladder at a tight spacing, so
+    // even short generated programs resume mid-run and get compared
+    // for reconvergence.
+    let ladder = compiled
+        .capture_ladder(&budgeted, CHECKPOINT_SPACING)
+        .ok()
+        .flatten();
     for k in 0..3u64 {
         let target = (space * (2 * k + 1)) / 6;
         let bit = [0u32, domain / 2, domain - 1][k as usize % 3];
         let inj_cfg = RunConfig {
-            max_insts: budget,
             injection: Some(Injection::for_model(model, target, bit)),
-            ..RunConfig::default()
+            ..budgeted.clone()
         };
         let r = Machine::new(module).run(&inj_cfg);
         let f = compiled.run(&inj_cfg);
@@ -252,6 +269,25 @@ pub fn check_engine_diff_model(module: &Module, model: FaultModel) -> Option<Div
                             &fb,
                         ),
                     ));
+                }
+                if let Some(ladder) = &ladder {
+                    let fc = match compiled.run_checkpointed(&inj_cfg, ladder) {
+                        Ok((c, _)) => fingerprint(&c),
+                        Err(e) => format!("refused: {e}\n"),
+                    };
+                    if fc != fb {
+                        return Some(Divergence::new(
+                            OracleKind::EngineDiff,
+                            diff_message(
+                                &format!(
+                                    "checkpointed run (model {model}, target {target}, bit {bit}) \
+                                     diverged from the full compiled run"
+                                ),
+                                &fb,
+                                &fc,
+                            ),
+                        ));
+                    }
                 }
             }
             (r, f) => {

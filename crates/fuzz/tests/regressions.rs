@@ -6,11 +6,14 @@
 //! the bug class stays dead. Each test names the oracle that caught it.
 
 use ipas_fuzz::oracle::{
-    check_duplication, check_engine_diff, check_no_panic_ir, check_no_panic_scil, check_passes,
-    check_roundtrip,
+    check_duplication, check_engine_diff, check_engine_diff_model, check_no_panic_ir,
+    check_no_panic_scil, check_passes, check_roundtrip, CHECKPOINT_SPACING,
 };
 use ipas_fuzz::{run_fuzz, FuzzConfig};
-use ipas_interp::{Machine, RunConfig, RunStatus, Trap};
+use ipas_interp::{
+    CompiledMachine, CompiledProgram, FaultModel, Injection, Machine, RunConfig, RunOutput,
+    RunStatus, Trap,
+};
 use ipas_ir::{FunctionBuilder, Intrinsic, Module, Type, Value};
 
 fn run(module: &Module) -> RunStatus {
@@ -158,6 +161,113 @@ fn transforms_are_invisible_on_a_loopy_program() {
     assert!(check_duplication(&module).is_none());
     assert!(check_passes(&module).is_none());
     assert!(check_roundtrip(&module).is_none());
+}
+
+/// engine-diff, checkpointed mode: golden checkpoints land mid-call and
+/// after an early output. A fault that only turns a printed `0.0` into
+/// `-0.0` leaves every later state `==`-equal to golden, so a
+/// checkpoint compare built on float `==` would short-circuit the run
+/// and report golden's `0.0`. State compares are bitwise, so the
+/// checkpointed run reports the full run's `-0.0`.
+#[test]
+fn negative_zero_output_never_reconverges() {
+    let src = "fn half(v: float) -> float { return v * 0.5; }\n\
+               fn main() -> int {\n\
+               \x20   let x: float = itof(mpi_rank()) * 0.0;\n\
+               \x20   output_f(x);\n\
+               \x20   let acc: float = 1.0;\n\
+               \x20   for (let i: int = 0; i < 60; i = i + 1) { acc = acc + half(itof(i)); }\n\
+               \x20   output_f(acc);\n\
+               \x20   return 0;\n\
+               }\n";
+    let module = ipas_lang::compile(src).expect("repro compiles");
+    for model in FaultModel::ALL {
+        assert!(check_engine_diff_model(&module, model).is_none(), "{model}");
+    }
+
+    let program = CompiledProgram::compile(&module);
+    let mut machine = CompiledMachine::new(&program);
+    let golden = machine.run(&RunConfig::default()).unwrap();
+    let budgeted = RunConfig {
+        max_insts: RunConfig::budget_from_nominal(golden.dynamic_insts),
+        ..RunConfig::default()
+    };
+    let ladder = machine
+        .capture_ladder(&budgeted, CHECKPOINT_SPACING)
+        .unwrap()
+        .expect("golden run completes");
+    let bits =
+        |o: &RunOutput| -> Vec<u64> { o.outputs.as_floats().iter().map(|f| f.to_bits()).collect() };
+    let mut sign_flips = 0;
+    for target in 0..golden.eligible_results {
+        let config = RunConfig {
+            injection: Some(Injection::at_global_index(target, 63)),
+            ..budgeted.clone()
+        };
+        let full = machine.run(&config).unwrap();
+        let (resumed, skipped) = machine.run_checkpointed(&config, &ladder).unwrap();
+        assert_eq!(bits(&resumed), bits(&full), "target {target}");
+        if bits(&full) == [(-0.0f64).to_bits(), bits(&golden)[1]] {
+            sign_flips += 1;
+            assert!(!skipped.reconverged, "target {target} short-circuited");
+        }
+    }
+    assert!(sign_flips > 0, "no fault flips only the zero's sign");
+}
+
+/// engine-diff, checkpointed mode (campaign seed 2016, case 161,
+/// minimized): a branch flip on the loop exit sends the run into one
+/// more iteration, which reaches the next golden checkpoint's
+/// instruction count at the top of the loop body while golden is at
+/// `ret`. The state compare read the running frame's *stored* `pc` —
+/// only refreshed on calls, so here the previous checkpoint's loop-body
+/// `pc` — and declared the runs reconverged, cutting off the extra
+/// iteration. It now compares the live `pc`.
+#[test]
+fn loop_exit_branch_flip_is_not_reconverged_by_a_stale_pc() {
+    let src = "fn @main() -> i64 {\n\
+               bb0:\n\
+               \x20 call output_f64(0.0) -> void\n\
+               \x20 br bb1\n\
+               bb1:\n\
+               \x20 %v54 = phi i64 [bb0: 0, bb2: %v22]\n\
+               \x20 %v7 = icmp slt %v54, 5\n\
+               \x20 condbr %v7, bb2, bb3\n\
+               bb2:\n\
+               \x20 %v18 = call pow(10000000000.0, 0.0) -> f64\n\
+               \x20 call output_f64(%v18) -> void\n\
+               \x20 %v22 = add i64 %v54, 1\n\
+               \x20 br bb1\n\
+               bb3:\n\
+               \x20 ret 0\n\
+               }\n";
+    let module = ipas_ir::parser::parse_module(src).expect("repro parses");
+    assert!(check_engine_diff_model(&module, FaultModel::BranchFlip).is_none());
+
+    let program = CompiledProgram::compile(&module);
+    let mut machine = CompiledMachine::new(&program);
+    let golden = machine.run(&RunConfig::default()).unwrap();
+    let budgeted = RunConfig {
+        max_insts: RunConfig::budget_from_nominal(golden.dynamic_insts),
+        ..RunConfig::default()
+    };
+    let ladder = machine
+        .capture_ladder(&budgeted, CHECKPOINT_SPACING)
+        .unwrap()
+        .expect("golden run completes");
+    let exit_flip = RunConfig {
+        injection: Some(Injection::for_model(FaultModel::BranchFlip, 5, 0)),
+        ..budgeted
+    };
+    let full = machine.run(&exit_flip).unwrap();
+    let (resumed, skipped) = machine.run_checkpointed(&exit_flip, &ladder).unwrap();
+    assert!(
+        full.dynamic_insts > golden.dynamic_insts,
+        "the flip adds an iteration"
+    );
+    assert!(!skipped.reconverged);
+    assert_eq!(resumed.dynamic_insts, full.dynamic_insts);
+    assert_eq!(resumed.outputs.len(), full.outputs.len());
 }
 
 /// Bounded smoke campaign: a prefix of the acceptance campaign

@@ -48,7 +48,8 @@
 //!   register-resident watermark form of the reference's `tick`: same
 //!   budget stop instant, same poison/deadline poll at the same
 //!   4096-instruction cadence) *before* executing, in original
-//!   block-layout order;
+//!   block-layout order — at instruction boundaries through the
+//!   `tick_due` half, whose slow path also serves golden checkpoints;
 //! * taking a CFG edge charges `dynamic_insts` by the number of phi
 //!   moves with **no** budget or poll check, matching the reference's
 //!   block-entry parallel copy;
@@ -78,8 +79,8 @@ use ipas_ir::{
 
 use crate::env::{Env, SerialEnv};
 use crate::machine::{
-    exec_intrinsic, is_fault_site, no_such_function, validate_entry, HotCounters, RunConfig,
-    RunError, RunOutput, RunState, Stop, MAX_CALL_DEPTH,
+    exec_intrinsic, is_fault_site, no_such_function, validate_entry, HotCounters, Injection,
+    OutputStream, RunConfig, RunError, RunOutput, RunState, SiteClass, Stop, MAX_CALL_DEPTH,
 };
 use crate::memory::{gep_addr, Memory, POISON_ADDR};
 use crate::rtval::RtVal;
@@ -913,19 +914,40 @@ fn compile_function(fid: FuncId, func: &Function) -> CompiledFunction {
 /// gather intrinsic arguments into a stack buffer instead of a `Vec`.
 const INTRINSIC_MAX_ARGS: usize = 4;
 
+/// One activation record of the explicit call stack.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Frame {
+    fid: FuncId,
+    /// Where the frame continues: for a suspended caller, the
+    /// instruction after its pending call; for the running frame, only
+    /// meaningful in a checkpoint (the instruction about to execute).
+    pc: usize,
+    /// First stack slot of the frame's window.
+    base: usize,
+    /// `allocas` length at entry; the frame frees the suffix on return.
+    alloca_mark: usize,
+}
+
 /// A resettable executor for one [`CompiledProgram`].
 ///
-/// The machine keeps its value stack, alloca list, phi scratch buffer,
-/// and [`Memory`] between runs: [`CompiledMachine::run`] resets them
-/// without releasing their allocations, so campaign loops stop paying
-/// per-run setup. One machine per worker thread is the intended
-/// campaign topology (the program itself is shared).
+/// The machine keeps its value stack, call stack, alloca list, phi
+/// scratch buffer, and [`Memory`] between runs: [`CompiledMachine::run`]
+/// resets them without releasing their allocations, so campaign loops
+/// stop paying per-run setup. One machine per worker thread is the
+/// intended campaign topology (the program itself is shared).
+///
+/// Calls push an explicit [`Frame`] instead of recursing on the Rust
+/// stack, so the whole execution state is plain data: a golden run can
+/// snapshot it into a [`Ladder`] and an injection run can resume from
+/// any snapshot mid-call ([`CompiledMachine::run_checkpointed`]).
 #[derive(Debug)]
 pub struct CompiledMachine<'p> {
     prog: &'p CompiledProgram,
     /// One contiguous stack of 64-bit register images; each call owns
     /// the window `[frame_base, frame_base + frame_slots)`.
     stack: Vec<u64>,
+    /// The call stack, entry frame first.
+    frames: Vec<Frame>,
     /// Alloca base addresses of all live frames; each frame records a
     /// watermark and frees its suffix on exit.
     allocas: Vec<u64>,
@@ -941,6 +963,7 @@ impl<'p> CompiledMachine<'p> {
         CompiledMachine {
             prog: program,
             stack: Vec::new(),
+            frames: Vec::new(),
             allocas: Vec::new(),
             scratch: Vec::new(),
             memory: Memory::new(),
@@ -971,6 +994,165 @@ impl<'p> CompiledMachine<'p> {
         config: &RunConfig,
         env: &mut dyn Env,
     ) -> Result<RunOutput, RunError> {
+        let ret_ty = self.enter(config)?;
+        let mut memory = std::mem::take(&mut self.memory);
+        memory.reset();
+        let mut state = RunState::start(memory, config, env);
+        let result = self.execute(&mut state, &mut Checkpoints::Off);
+        let status = state.finish(typed(ret_ty, result));
+        let (output, memory) = state.into_output(status);
+        self.memory = memory;
+        Ok(output)
+    }
+
+    /// Runs `config` once cleanly (its injection, profiling, and
+    /// watchdog are ignored) and records a golden-state checkpoint at
+    /// the first instruction boundary at or past every multiple of
+    /// `spacing` dynamic instructions. The ladder is thinned by halving
+    /// (every other checkpoint dropped, spacing doubled) whenever it
+    /// exceeds [`MAX_CHECKPOINTS`] or [`MAX_LADDER_BYTES`].
+    ///
+    /// Returns `Ok(None)` when the clean run does not complete: a
+    /// ladder needs a golden completion to stand in for reconverged
+    /// runs. The ladder belongs to this machine's program; resume it
+    /// only on machines over the same [`CompiledProgram`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CompiledMachine::run`].
+    pub fn capture_ladder(
+        &mut self,
+        config: &RunConfig,
+        spacing: u64,
+    ) -> Result<Option<Ladder>, RunError> {
+        let clean = RunConfig {
+            injection: None,
+            profile_sites: false,
+            trace_eligible: false,
+            wall_limit: None,
+            ..config.clone()
+        };
+        let ret_ty = self.enter(&clean)?;
+        let mut env = SerialEnv;
+        let mut memory = std::mem::take(&mut self.memory);
+        memory.reset();
+        let mut state = RunState::start(memory, &clean, &mut env);
+        let mut capture = Capture::new(spacing.max(1));
+        state.checkpoint_stop = capture.stop();
+        state.rearm();
+        let mut cp = Checkpoints::Capture(&mut capture);
+        let result = self.execute(&mut state, &mut cp);
+        let status = state.finish(typed(ret_ty, result));
+        let (golden, memory) = state.into_output(status);
+        self.memory = memory;
+        if !golden.status.is_completed() {
+            return Ok(None);
+        }
+        Ok(Some(Ladder {
+            entry: clean.entry,
+            args: clean.args,
+            snapshots: capture.snapshots,
+            bytes: capture.bytes,
+            golden,
+        }))
+    }
+
+    /// Runs an injection plan from `ladder`: starts at the latest
+    /// checkpoint the plan's target has not yet passed
+    /// ([`Ladder::start_for`]) and, once the fault has fired, stops at
+    /// the first later checkpoint whose whole state equals the golden
+    /// one, completing the run from the golden output. The returned
+    /// [`RunOutput`] equals a from-scratch [`CompiledMachine::run`]
+    /// field for field; [`Skipped`] reports the instructions not
+    /// executed.
+    ///
+    /// Configurations the ladder cannot serve (see
+    /// [`Ladder::serves`]) run from scratch.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CompiledMachine::run`].
+    pub fn run_checkpointed(
+        &mut self,
+        config: &RunConfig,
+        ladder: &Ladder,
+    ) -> Result<(RunOutput, Skipped), RunError> {
+        self.run_from(config, ladder, ladder.start_for(config))
+    }
+
+    /// [`CompiledMachine::run_checkpointed`] starting at checkpoint
+    /// `start` (`None`: from the entry point) instead of the latest
+    /// one; any checkpoint the plan's target has not passed yields the
+    /// same output.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CompiledMachine::run`], plus a
+    /// [`RunError`] when checkpoint `start` does not exist or lies past
+    /// the plan's target.
+    pub fn run_from(
+        &mut self,
+        config: &RunConfig,
+        ladder: &Ladder,
+        start: Option<usize>,
+    ) -> Result<(RunOutput, Skipped), RunError> {
+        if !ladder.serves(config) {
+            return Ok((self.run(config)?, Skipped::default()));
+        }
+        if let Some(k) = start {
+            if k >= ladder.len() || Some(k) > ladder.start_for(config) {
+                return Err(RunError(format!(
+                    "checkpoint {k} is not a valid start for this plan"
+                )));
+            }
+        }
+        let ret_ty = self.enter(config)?;
+        let mut env = SerialEnv;
+        let mut memory = std::mem::take(&mut self.memory);
+        let snapshot = start.map(|k| &ladder.snapshots[k]);
+        match snapshot {
+            Some(s) => memory.load_image(&s.memory),
+            None => memory.reset(),
+        }
+        let mut state = RunState::start(memory, config, &mut env);
+        if let Some(s) = snapshot {
+            self.restore(&mut state, s);
+        }
+        let next = start.map_or(0, |k| k + 1);
+        state.checkpoint_stop = ladder.stop_at(next);
+        state.rearm();
+        let mut cp = Checkpoints::Compare { ladder, next };
+        let result = self.execute(&mut state, &mut cp);
+        let mut skipped = Skipped {
+            prefix: snapshot.map_or(0, |s| s.dynamic_insts),
+            ..Skipped::default()
+        };
+        let (output, memory) = if let Err(Stop::Reconverged) = result {
+            let Checkpoints::Compare { next, .. } = cp else {
+                unreachable!("compare mode throughout")
+            };
+            let golden = &ladder.golden;
+            skipped.suffix = golden.dynamic_insts - ladder.snapshots[next].dynamic_insts;
+            skipped.reconverged = true;
+            let (partial, memory) = state.into_output(golden.status);
+            let output = RunOutput {
+                injected_site: partial.injected_site,
+                injected_at_inst: partial.injected_at_inst,
+                ..golden.clone()
+            };
+            (output, memory)
+        } else {
+            let status = state.finish(typed(ret_ty, result));
+            state.into_output(status)
+        };
+        self.memory = memory;
+        Ok((output, skipped))
+    }
+
+    /// Validates the entry configuration and resets the machine to the
+    /// entry frame (arguments and constant pool in place), keeping
+    /// allocations. Returns the entry's return type.
+    fn enter(&mut self, config: &RunConfig) -> Result<Type, RunError> {
         let entry = *self
             .prog
             .by_name
@@ -979,51 +1161,141 @@ impl<'p> CompiledMachine<'p> {
         let f = &self.prog.funcs[entry.index()];
         validate_entry(&config.entry, &f.params, config)?;
         let frame_slots = f.frame_slots as usize;
-        let ret_ty = f.ret_ty;
 
-        // Reset without releasing capacity.
         self.stack.clear();
+        self.frames.clear();
         self.allocas.clear();
         self.scratch.clear();
-        let mut memory = std::mem::take(&mut self.memory);
-        memory.reset();
-
-        let mut state = RunState::start(memory, config, env);
         self.stack.resize(frame_slots, 0);
         for (k, a) in config.args.iter().enumerate() {
             self.stack[k] = a.bits();
         }
         self.stack[frame_slots - f.consts.len()..].copy_from_slice(&f.consts);
-        let result = self
-            .exec_func(&mut state, entry, 0, 0)
-            .map(|ret| ret.map(|bits| RtVal::from_bits(ret_ty, bits)));
-        let status = state.finish(result);
-        let (output, memory) = state.into_output(status);
-        self.memory = memory;
-        Ok(output)
+        self.frames.push(Frame {
+            fid: entry,
+            pc: 0,
+            base: 0,
+            alloca_mark: 0,
+        });
+        Ok(f.ret_ty)
     }
 
-    /// Executes one frame (already pushed at `base`), freeing its
-    /// allocas on every exit path like the reference engine.
-    fn exec_func(
+    /// Loads a checkpoint's machine state and counters (its memory is
+    /// already in `state`). The watermark is re-armed by the caller:
+    /// it depends on the resumed run's own budget.
+    fn restore(&mut self, state: &mut RunState<'_>, s: &Snapshot) {
+        self.frames.clone_from(&s.frames);
+        self.stack.clone_from(&s.stack);
+        self.allocas.clone_from(&s.allocas);
+        state.outputs.clone_from(&s.outputs);
+        state.console.clone_from(&s.console);
+        state.dynamic_insts = s.dynamic_insts;
+        [
+            state.eligible_results,
+            state.loads,
+            state.stores,
+            state.cond_branches,
+        ] = s.counters;
+    }
+
+    /// Copies the machine and run state at an instruction boundary
+    /// (`dynamic_insts` = `at`, about to execute `pc` of the top frame).
+    fn snapshot(&self, state: &RunState<'_>, at: u64, pc: usize) -> Snapshot {
+        let mut frames = self.frames.clone();
+        frames.last_mut().expect("a running frame").pc = pc;
+        Snapshot {
+            dynamic_insts: at,
+            counters: counters(state),
+            frames,
+            stack: self.stack.clone(),
+            allocas: self.allocas.clone(),
+            memory: state.memory.save_image(),
+            outputs: state.outputs.clone(),
+            console: state.console.clone(),
+        }
+    }
+
+    /// The full-state compare: `true` when the run at this boundary is
+    /// exactly checkpoint `s`. Cheap fields first; nothing is hashed.
+    fn matches(&self, state: &RunState<'_>, pc: usize, s: &Snapshot) -> bool {
+        let top = s.frames.len() - 1;
+        counters(state) == s.counters
+            && self.frames.len() == s.frames.len()
+            && self.frames[..top] == s.frames[..top]
+            // The running frame's record holds a stale `pc` (it is only
+            // written on calls); the live one is the boundary's.
+            && Frame { pc, ..self.frames[top] } == s.frames[top]
+            && self.allocas == s.allocas
+            && self.stack == s.stack
+            && state.outputs.same_bits(&s.outputs)
+            && state.console == s.console
+            && state.memory.matches_image(&s.memory)
+    }
+
+    /// Runs the machine from its current top frame to completion.
+    fn execute(
         &mut self,
         state: &mut RunState<'_>,
-        fid: FuncId,
-        base: usize,
-        depth: usize,
+        cp: &mut Checkpoints<'_>,
     ) -> Result<Option<u64>, Stop> {
-        if depth >= MAX_CALL_DEPTH {
-            return Err(Stop::Trap(Trap::StackOverflow));
-        }
-        let alloca_mark = self.allocas.len();
-        let result = self.run_frame(state, fid, base, depth);
-        for i in alloca_mark..self.allocas.len() {
-            // Frame regions are always valid bases; ignore double-free
-            // that can only arise from user `free` of an alloca pointer.
-            let _ = state.memory.free(self.allocas[i]);
-        }
-        self.allocas.truncate(alloca_mark);
+        // The counters live in registers for the whole run; every exit
+        // edge of the loop lands here and flushes them back.
+        let mut hot = HotCounters::load(state);
+        let result = self.exec_loop(state, &mut hot, cp);
+        hot.flush(state);
         result
+    }
+
+    /// The instruction-boundary slow path: budget/poll checks, then the
+    /// golden checkpoint when one is due (`dynamic_insts` already
+    /// charged for the instruction at `pc`, which has not run yet).
+    #[cold]
+    #[inline(never)]
+    fn boundary(
+        &mut self,
+        state: &mut RunState<'_>,
+        hot: &mut HotCounters,
+        pc: usize,
+        cp: &mut Checkpoints<'_>,
+    ) -> Result<(), Stop> {
+        hot.tick_slow(state)?;
+        if state.dynamic_insts >= state.checkpoint_stop {
+            let at = state.dynamic_insts - 1;
+            state.checkpoint_stop = match cp {
+                Checkpoints::Off => u64::MAX,
+                Checkpoints::Capture(capture) => {
+                    let snapshot = self.snapshot(state, at, pc);
+                    capture.push(snapshot, at);
+                    capture.stop()
+                }
+                Checkpoints::Compare { ladder, next } => {
+                    while ladder
+                        .snapshots
+                        .get(*next)
+                        .is_some_and(|s| s.dynamic_insts < at)
+                    {
+                        *next += 1;
+                    }
+                    if let Some(s) = ladder.snapshots.get(*next) {
+                        // Before the fault fires the run *is* golden;
+                        // only a post-injection match proves anything.
+                        if s.dynamic_insts == at
+                            && state.injected_site.is_some()
+                            && self.matches(state, pc, s)
+                        {
+                            return Err(Stop::Reconverged);
+                        }
+                        if s.dynamic_insts == at {
+                            *next += 1;
+                        }
+                    }
+                    ladder.stop_at(*next)
+                }
+            };
+            state.rearm();
+            hot.reload_stop(state);
+        }
+        Ok(())
     }
 
     #[inline]
@@ -1075,38 +1347,26 @@ impl<'p> CompiledMachine<'p> {
         e.target as usize
     }
 
-    fn run_frame(
-        &mut self,
-        state: &mut RunState<'_>,
-        fid: FuncId,
-        base: usize,
-        depth: usize,
-    ) -> Result<Option<u64>, Stop> {
-        // The counters live in registers for the duration of the frame;
-        // every exit edge below flushes them back (idempotently).
-        let mut hot = HotCounters::load(state);
-        let result = self.frame_loop(state, &mut hot, fid, base, depth);
-        hot.flush(state);
-        result
-    }
-
-    fn frame_loop(
+    fn exec_loop(
         &mut self,
         state: &mut RunState<'_>,
         hot: &mut HotCounters,
-        fid: FuncId,
-        base: usize,
-        depth: usize,
+        cp: &mut Checkpoints<'_>,
     ) -> Result<Option<u64>, Stop> {
         // `prog` outlives `self`'s borrow, so the code array can be held
-        // across stack mutations.
+        // across stack mutations. `f`, `base`, and `pc` cache the top
+        // frame; the frame record itself is only written on calls.
         let prog = self.prog;
-        let f = &prog.funcs[fid.index()];
-        let mut pc = 0usize;
+        let top = *self.frames.last().expect("an entry frame");
+        let mut f = &prog.funcs[top.fid.index()];
+        let mut base = top.base;
+        let mut pc = top.pc;
         loop {
             let inst = &f.code[pc];
+            if hot.tick_due() {
+                self.boundary(state, hot, pc, cp)?;
+            }
             pc += 1;
-            hot.tick(state)?;
             match inst {
                 CInst::IBin {
                     op,
@@ -1475,9 +1735,14 @@ impl<'p> CompiledMachine<'p> {
                 } => {
                     let v = match callee {
                         CCallee::Func(callee_fid) => {
+                            if self.frames.len() >= MAX_CALL_DEPTH {
+                                return Err(Stop::Trap(Trap::StackOverflow));
+                            }
                             // Push the callee frame, writing evaluated
                             // arguments and the callee's constant pool
-                            // straight into its slots.
+                            // straight into its slots. The call finishes
+                            // (result injection and write) when the
+                            // callee's `ret` pops back to `pc`.
                             let callee_f = &prog.funcs[callee_fid.index()];
                             let callee_slots = callee_f.frame_slots as usize;
                             let callee_base = self.stack.len();
@@ -1488,13 +1753,17 @@ impl<'p> CompiledMachine<'p> {
                             }
                             self.stack[callee_base + callee_slots - callee_f.consts.len()..]
                                 .copy_from_slice(&callee_f.consts);
-                            // The callee frame runs on its own counter
-                            // image; hand ours over and take theirs back.
-                            hot.flush(state);
-                            let r = self.exec_func(state, *callee_fid, callee_base, depth + 1);
-                            *hot = HotCounters::load(state);
-                            self.stack.truncate(callee_base);
-                            r?.unwrap_or(0)
+                            self.frames.last_mut().expect("a running frame").pc = pc;
+                            self.frames.push(Frame {
+                                fid: *callee_fid,
+                                pc: 0,
+                                base: callee_base,
+                                alloca_mark: self.allocas.len(),
+                            });
+                            f = callee_f;
+                            base = callee_base;
+                            pc = 0;
+                            continue;
                         }
                         CCallee::Intrinsic(intr) => {
                             // Intrinsics are the shared typed implementation:
@@ -1529,11 +1798,256 @@ impl<'p> CompiledMachine<'p> {
                     pc = self.take_edge(hot, &f.edges, base, edge);
                 }
                 CInst::Ret { value } => {
-                    return Ok(value.map(|v| self.read(base, v)));
+                    let ret = value.map(|v| self.read(base, v));
+                    let frame = self.frames.pop().expect("a running frame");
+                    for i in frame.alloca_mark..self.allocas.len() {
+                        // Frame regions are always valid bases; ignore
+                        // double-free that can only arise from user
+                        // `free` of an alloca pointer.
+                        let _ = state.memory.free(self.allocas[i]);
+                    }
+                    self.allocas.truncate(frame.alloca_mark);
+                    let Some(caller) = self.frames.last() else {
+                        return Ok(ret);
+                    };
+                    self.stack.truncate(frame.base);
+                    f = &prog.funcs[caller.fid.index()];
+                    base = caller.base;
+                    pc = caller.pc;
+                    // Finish the caller's pending call instruction.
+                    let CInst::Call {
+                        dst, site, width, ..
+                    } = &f.code[pc - 1]
+                    else {
+                        unreachable!("frames only suspend at calls")
+                    };
+                    if *dst != NO_SLOT {
+                        let bits = hot.inject(state, f.fid, *site, *width, ret.unwrap_or(0));
+                        self.write(base, *dst, bits);
+                    }
                 }
             }
         }
     }
+}
+
+/// Rebuilds the entry's typed return value from its register image.
+fn typed(ret_ty: Type, result: Result<Option<u64>, Stop>) -> Result<Option<RtVal>, Stop> {
+    result.map(|ret| ret.map(|bits| RtVal::from_bits(ret_ty, bits)))
+}
+
+/// Position of `class` in [`counters`].
+fn counter_index(class: SiteClass) -> usize {
+    match class {
+        SiteClass::Value => 0,
+        SiteClass::Load => 1,
+        SiteClass::Store => 2,
+        SiteClass::Branch => 3,
+    }
+}
+
+/// The per-class dynamic counters, in [`SiteClass`] order: value
+/// results, loads, stores, conditional branches.
+fn counters(state: &RunState<'_>) -> [u64; 4] {
+    [
+        state.eligible_results,
+        state.loads,
+        state.stores,
+        state.cond_branches,
+    ]
+}
+
+/// Most checkpoints one ladder keeps.
+pub const MAX_CHECKPOINTS: usize = 64;
+/// Most snapshot bytes one ladder keeps (see [`Ladder::bytes`]).
+pub const MAX_LADDER_BYTES: usize = 1 << 18;
+
+/// The whole state of a run at one instruction boundary.
+#[derive(Debug)]
+struct Snapshot {
+    /// Instructions retired before the boundary.
+    dynamic_insts: u64,
+    /// [`counters`] at the boundary.
+    counters: [u64; 4],
+    /// The call stack; the top frame's `pc` is the next instruction.
+    frames: Vec<Frame>,
+    stack: Vec<u64>,
+    allocas: Vec<u64>,
+    /// The [`Memory`] image ([`Memory::save_image`]).
+    memory: Vec<u64>,
+    outputs: OutputStream,
+    console: Vec<String>,
+}
+
+impl Snapshot {
+    /// Bytes this snapshot holds, the unit of [`MAX_LADDER_BYTES`].
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Snapshot>()
+            + self.frames.len() * std::mem::size_of::<Frame>()
+            + (self.stack.len() + self.allocas.len() + self.memory.len()) * 8
+            + self.outputs.len() * 16
+            + self.console.iter().map(String::len).sum::<usize>()
+    }
+}
+
+/// Golden-state checkpoints of one clean run, captured by
+/// [`CompiledMachine::capture_ladder`]: full snapshots of the machine
+/// and run state at instruction boundaries, in execution order, plus
+/// the run's golden completion. Immutable once captured, so campaign
+/// workers share one ladder read-only.
+#[derive(Debug)]
+pub struct Ladder {
+    entry: String,
+    args: Vec<RtVal>,
+    snapshots: Vec<Snapshot>,
+    bytes: usize,
+    golden: RunOutput,
+}
+
+impl Ladder {
+    /// Number of checkpoints.
+    pub fn len(&self) -> usize {
+        self.snapshots.len()
+    }
+
+    /// `true` when the clean run was too short (or its state too large)
+    /// to keep any checkpoint.
+    pub fn is_empty(&self) -> bool {
+        self.snapshots.is_empty()
+    }
+
+    /// Snapshot bytes held, at most [`MAX_LADDER_BYTES`].
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The clean run's output, which every reconverged run completes
+    /// with.
+    pub fn golden(&self) -> &RunOutput {
+        &self.golden
+    }
+
+    /// Dynamic instructions retired before checkpoint `k`.
+    pub fn position(&self, k: usize) -> u64 {
+        self.snapshots[k].dynamic_insts
+    }
+
+    /// Events of `class` counted before checkpoint `k`: a plan whose
+    /// target is at least this has not fired by then.
+    pub fn class_count(&self, k: usize, class: SiteClass) -> u64 {
+        self.snapshots[k].counters[counter_index(class)]
+    }
+
+    /// Whether a run of `config` may start from or stop at a
+    /// checkpoint: a global-index injection plan on the captured entry
+    /// and arguments, with a budget the golden run fits, and no
+    /// wall-clock watchdog (it measures from run start), site profile,
+    /// or eligible trace (both need every instruction executed).
+    pub fn serves(&self, config: &RunConfig) -> bool {
+        let same_args = config.args.len() == self.args.len()
+            && config
+                .args
+                .iter()
+                .zip(&self.args)
+                .all(|(a, b)| a.ty() == b.ty() && a.bits() == b.bits());
+        matches!(config.injection, Some(Injection { site: None, .. }))
+            && config.entry == self.entry
+            && same_args
+            && config.wall_limit.is_none()
+            && !config.profile_sites
+            && !config.trace_eligible
+            && config.max_insts >= self.golden.dynamic_insts
+    }
+
+    /// The latest checkpoint at which `config`'s plan has not fired
+    /// yet — its site-class count is at most the target — or `None`
+    /// when the run must start from the entry point.
+    pub fn start_for(&self, config: &RunConfig) -> Option<usize> {
+        let plan = config.injection.filter(|_| self.serves(config))?;
+        let c = counter_index(plan.model.site_class());
+        let k = self
+            .snapshots
+            .partition_point(|s| s.counters[c] <= plan.target);
+        k.checked_sub(1)
+    }
+
+    /// The tick count at which checkpoint `k` is due, `u64::MAX` past
+    /// the last.
+    fn stop_at(&self, k: usize) -> u64 {
+        self.snapshots
+            .get(k)
+            .map_or(u64::MAX, |s| s.dynamic_insts + 1)
+    }
+}
+
+/// Instructions a checkpointed run did not execute.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Skipped {
+    /// The fault-free prefix restored from the start checkpoint.
+    pub prefix: u64,
+    /// The golden suffix after reconvergence.
+    pub suffix: u64,
+    /// The run matched a golden checkpoint after its fault fired.
+    pub reconverged: bool,
+}
+
+/// A ladder under construction.
+struct Capture {
+    spacing: u64,
+    snapshots: Vec<Snapshot>,
+    bytes: usize,
+    /// Next capture instant; `u64::MAX` once capturing stopped.
+    next_at: u64,
+}
+
+impl Capture {
+    fn new(spacing: u64) -> Self {
+        Capture {
+            spacing,
+            snapshots: Vec::new(),
+            bytes: 0,
+            next_at: spacing,
+        }
+    }
+
+    fn stop(&self) -> u64 {
+        self.next_at.saturating_add(1)
+    }
+
+    /// Records the snapshot taken at `at` and thins the ladder back
+    /// under its limits.
+    fn push(&mut self, snapshot: Snapshot, at: u64) {
+        self.bytes += snapshot.bytes();
+        self.snapshots.push(snapshot);
+        while self.snapshots.len() > MAX_CHECKPOINTS || self.bytes > MAX_LADDER_BYTES {
+            if self.snapshots.len() == 1 {
+                // One snapshot alone is over the cap: keep none.
+                self.snapshots.clear();
+                self.bytes = 0;
+                self.next_at = u64::MAX;
+                return;
+            }
+            let mut k = 0;
+            self.snapshots.retain(|_| {
+                k += 1;
+                k % 2 == 0
+            });
+            self.bytes = self.snapshots.iter().map(Snapshot::bytes).sum();
+            self.spacing = self.spacing.saturating_mul(2);
+        }
+        self.next_at = (at / self.spacing + 1).saturating_mul(self.spacing);
+    }
+}
+
+/// What the instruction-boundary slow path does at a due checkpoint.
+enum Checkpoints<'a> {
+    /// Nothing is armed (plain runs).
+    Off,
+    /// A golden run recording its ladder.
+    Capture(&'a mut Capture),
+    /// An injection run comparing against the ladder from checkpoint
+    /// `next` on.
+    Compare { ladder: &'a Ladder, next: usize },
 }
 
 #[cfg(test)]

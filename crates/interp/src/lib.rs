@@ -56,7 +56,9 @@ pub mod memory;
 pub mod rtval;
 pub mod trap;
 
-pub use compiled::{CompiledMachine, CompiledProgram, Engine};
+pub use compiled::{
+    CompiledMachine, CompiledProgram, Engine, Ladder, Skipped, MAX_CHECKPOINTS, MAX_LADDER_BYTES,
+};
 pub use env::{Env, SerialEnv};
 pub use machine::{
     is_fault_site, FaultModel, Injection, Machine, OutputStream, RunConfig, RunError, RunOutput,

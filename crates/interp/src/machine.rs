@@ -407,6 +407,21 @@ impl OutputStream {
             .collect()
     }
 
+    /// Bit-exact equality: unlike `==`, tells `-0.0` from `0.0` and
+    /// matches identical NaN payloads.
+    pub(crate) fn same_bits(&self, other: &OutputStream) -> bool {
+        self.items.len() == other.items.len()
+            && self
+                .items
+                .iter()
+                .zip(&other.items)
+                .all(|(a, b)| match (a, b) {
+                    (OutItem::I(x), OutItem::I(y)) => x == y,
+                    (OutItem::F(x), OutItem::F(y)) => x.to_bits() == y.to_bits(),
+                    _ => false,
+                })
+    }
+
     fn push_i(&mut self, v: i64) {
         self.items.push(OutItem::I(v));
     }
@@ -463,7 +478,7 @@ pub struct RunOutput {
 
 /// Error for misconfigured runs (not runtime faults).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunError(String);
+pub struct RunError(pub(crate) String);
 
 impl RunError {
     /// The error description.
@@ -486,6 +501,9 @@ pub(crate) enum Stop {
     Trap(Trap),
     Detected,
     Budget,
+    /// The compiled engine found the faulty run's whole state equal to
+    /// a golden checkpoint: the rest of the run is the golden run's.
+    Reconverged,
 }
 
 /// Mutable per-run state shared by both engines: memory, streams, the
@@ -519,11 +537,15 @@ pub(crate) struct RunState<'e> {
     pub(crate) eligible_trace: Vec<(FuncId, InstId, u64)>,
     pub(crate) env: &'e mut dyn Env,
     /// Next `dynamic_insts` value at which [`HotCounters::tick`] must
-    /// run its slow path (budget exhaustion or poison/deadline poll) —
-    /// always `min(max_insts + 1, next poll multiple)`. Maintained only
-    /// by the compiled engine; the reference re-derives both conditions
-    /// every tick.
+    /// run its slow path (budget exhaustion, poison/deadline poll, or a
+    /// golden checkpoint) — always `min(max_insts + 1, next poll
+    /// multiple, checkpoint_stop)`. Maintained only by the compiled
+    /// engine; the reference re-derives the conditions every tick.
     pub(crate) next_stop: u64,
+    /// Tick count at which the compiled engine's next golden checkpoint
+    /// is due (capture or compare): one past the checkpoint's
+    /// `dynamic_insts`, `u64::MAX` when none is armed.
+    pub(crate) checkpoint_stop: u64,
     /// Global eligible-result index the compiled engine's injection
     /// fast path compares against (`u64::MAX` when no global-index
     /// value-class injection is armed).
@@ -580,6 +602,7 @@ impl<'e> RunState<'e> {
             eligible_trace: Vec::new(),
             env,
             next_stop: POISON_POLL_INTERVAL.min(config.max_insts.saturating_add(1)),
+            checkpoint_stop: u64::MAX,
             fast_target: class_target(config.injection, SiteClass::Value),
             load_target: class_target(config.injection, SiteClass::Load),
             store_target: class_target(config.injection, SiteClass::Store),
@@ -607,7 +630,22 @@ impl<'e> RunState<'e> {
                 self.env.poison();
                 RunStatus::Hang
             }
+            Err(Stop::Reconverged) => {
+                unreachable!(
+                    "the compiled engine completes reconverged runs from the golden output"
+                )
+            }
         }
+    }
+
+    /// Recomputes [`RunState::next_stop`] from the current count: the
+    /// next poll multiple, the budget stop, or the next checkpoint,
+    /// whichever comes first.
+    pub(crate) fn rearm(&mut self) {
+        let next_poll = (self.dynamic_insts / POISON_POLL_INTERVAL + 1) * POISON_POLL_INTERVAL;
+        self.next_stop = next_poll
+            .min(self.max_insts.saturating_add(1))
+            .min(self.checkpoint_stop);
     }
 
     /// Assembles the [`RunOutput`], leaving the state empty.
@@ -841,13 +879,36 @@ impl HotCounters {
     /// exactly.
     #[inline]
     pub(crate) fn tick(&mut self, state: &mut RunState<'_>) -> Result<(), Stop> {
-        self.dynamic_insts += 1;
-        if self.dynamic_insts >= self.next_stop {
-            self.flush(state);
-            tick_watermark(state)?;
-            self.next_stop = state.next_stop;
+        if self.tick_due() {
+            self.tick_slow(state)?;
         }
         Ok(())
+    }
+
+    /// Charges one instruction and reports whether the watermark slow
+    /// path is due. The compiled engine's instruction-boundary tick uses
+    /// this directly so its slow path can also take golden checkpoints;
+    /// mid-instruction ticks go through [`HotCounters::tick`], which
+    /// leaves a due checkpoint armed for the next boundary.
+    #[inline]
+    pub(crate) fn tick_due(&mut self) -> bool {
+        self.dynamic_insts += 1;
+        self.dynamic_insts >= self.next_stop
+    }
+
+    /// The budget/poll half of the slow path: flushes, checks, and
+    /// reloads the (re-armed) watermark.
+    #[cold]
+    pub(crate) fn tick_slow(&mut self, state: &mut RunState<'_>) -> Result<(), Stop> {
+        self.flush(state);
+        tick_watermark(state)?;
+        self.next_stop = state.next_stop;
+        Ok(())
+    }
+
+    /// Reloads the watermark after the slow path re-armed it.
+    pub(crate) fn reload_stop(&mut self, state: &RunState<'_>) {
+        self.next_stop = state.next_stop;
     }
 
     /// Bit-image twin of [`maybe_inject`] for the pre-decoded engine,
@@ -969,8 +1030,7 @@ fn tick_watermark(state: &mut RunState<'_>) -> Result<(), Stop> {
             }
         }
     }
-    let next_poll = (state.dynamic_insts / POISON_POLL_INTERVAL + 1) * POISON_POLL_INTERVAL;
-    state.next_stop = next_poll.min(state.max_insts.saturating_add(1));
+    state.rearm();
     Ok(())
 }
 

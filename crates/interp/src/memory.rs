@@ -144,6 +144,51 @@ impl Memory {
         self.regions.iter().filter(|r| r.is_some()).count()
     }
 
+    /// A flat image of the whole region table: the region count, then
+    /// per region its cell count ([`FREED`] once freed) followed by its
+    /// cells. One exactly-sized buffer per image keeps a golden
+    /// checkpoint's memory to a single allocation.
+    pub(crate) fn save_image(&self) -> Vec<u64> {
+        let cells: usize = self.regions.iter().flatten().map(|r| r.len()).sum();
+        let mut out = Vec::with_capacity(1 + self.regions.len() + cells);
+        out.push(self.regions.len() as u64);
+        for region in &self.regions {
+            match region {
+                Some(cells) => {
+                    out.push(cells.len() as u64);
+                    out.extend_from_slice(cells);
+                }
+                None => out.push(FREED),
+            }
+        }
+        out
+    }
+
+    /// Replaces the contents with a [`Memory::save_image`] image,
+    /// copying in place into regions whose size already matches.
+    pub(crate) fn load_image(&mut self, image: &[u64]) {
+        let mut words = ImageWords::new(image);
+        self.regions.truncate(words.count);
+        for k in 0..words.count {
+            let cells = words.next_region();
+            match (self.regions.get_mut(k), cells) {
+                (Some(Some(r)), Some(cells)) if r.len() == cells.len() => r.copy_from_slice(cells),
+                (Some(slot), cells) => *slot = cells.map(Box::from),
+                (None, cells) => self.regions.push(cells.map(Box::from)),
+            }
+        }
+    }
+
+    /// `true` when [`Memory::save_image`] would produce exactly `image`.
+    pub(crate) fn matches_image(&self, image: &[u64]) -> bool {
+        let mut words = ImageWords::new(image);
+        words.count == self.regions.len()
+            && self
+                .regions
+                .iter()
+                .all(|region| region.as_deref() == words.next_region())
+    }
+
     fn split(addr: u64) -> (usize, usize) {
         let region = (addr >> OFFSET_BITS) as usize;
         let offset = (addr & ((1u64 << OFFSET_BITS) - 1)) as usize;
@@ -175,6 +220,36 @@ impl Memory {
 
     fn slot_mut(&mut self, region: usize) -> Result<&mut Option<Box<[u64]>>, Trap> {
         self.regions.get_mut(region).ok_or(Trap::OutOfBounds)
+    }
+}
+
+/// Cell-count marker of a freed region in a memory image.
+const FREED: u64 = u64::MAX;
+
+/// Reader over a [`Memory::save_image`] image.
+struct ImageWords<'a> {
+    count: usize,
+    rest: &'a [u64],
+}
+
+impl<'a> ImageWords<'a> {
+    fn new(image: &'a [u64]) -> Self {
+        ImageWords {
+            count: image[0] as usize,
+            rest: &image[1..],
+        }
+    }
+
+    /// The next region's cells, `None` for a freed one.
+    fn next_region(&mut self) -> Option<&'a [u64]> {
+        let len = self.rest[0];
+        self.rest = &self.rest[1..];
+        if len == FREED {
+            return None;
+        }
+        let (cells, rest) = self.rest.split_at(len as usize);
+        self.rest = rest;
+        Some(cells)
     }
 }
 

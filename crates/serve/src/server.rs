@@ -58,8 +58,8 @@ use ipas_core::training::LabelKind;
 use ipas_faultsim::sections::assign_sections;
 use ipas_faultsim::{
     draw_plans, outcome_line_in_section, CampaignConfig, CampaignJournal, CampaignOptions,
-    CampaignResult, CompiledProgram, Engine, Injection, InjectionRecord, JournalHeader, Outcome,
-    PlanExecutor, PlanOutcome, ResumeState, Workload,
+    CampaignResult, CheckpointStats, CompiledCampaign, Injection, InjectionRecord, JournalHeader,
+    Outcome, PlanExecutor, PlanOutcome, ResumeState, Workload,
 };
 use ipas_store::{
     ArtifactKind, CampaignSummary, Fingerprint, Key, ProtectedModule, SingleFlight, Store,
@@ -146,7 +146,9 @@ fn install_signal_handlers() {
 struct RunCtx {
     job: Arc<Job>,
     workload: Workload,
-    compiled: Option<CompiledProgram>,
+    compiled: Option<CompiledCampaign>,
+    /// Ladder size plus every executed chunk's skipped instructions.
+    checkpoints: Mutex<CheckpointStats>,
     /// Every plan drawn so far. Classic jobs draw the full list during
     /// prepare; adaptive jobs ([`JobSpec::adaptive`]) grow it round by
     /// round, so reads go through the lock.
@@ -437,10 +439,17 @@ impl Daemon {
         for (i, failure) in failures {
             *lock(&slots[i]) = Some(PlanOutcome::Failure(failure));
         }
-        let compiled = match config.engine {
-            Engine::Compiled => Some(CompiledProgram::compile(&workload.module)),
-            Engine::Reference => None,
-        };
+        let compiled = CompiledCampaign::prepare(
+            &workload,
+            config.engine,
+            &options,
+            plans
+                .iter()
+                .zip(&slots)
+                .filter(|(_, slot)| lock(slot).is_none())
+                .map(|(plan, _)| *plan),
+        );
+        let checkpoints = Mutex::new(CompiledCampaign::stats_of(compiled.as_ref()));
         job.update(|p| {
             p.state = JobState::Running;
             p.total = plans.len();
@@ -452,6 +461,7 @@ impl Daemon {
             job: Arc::clone(job),
             workload,
             compiled,
+            checkpoints,
             plans: Mutex::new(plans),
             assignment,
             adaptive: adaptive.map(Mutex::new),
@@ -583,6 +593,7 @@ impl Daemon {
                 .zip(&chunk_plans)
                 .map(|(&i, &plan)| (i, executor.execute(i, plan)))
                 .collect();
+            *lock(&ctx.checkpoints) += executor.checkpoints();
             // Chunks of sectional jobs are section-aligned and chunks
             // of adaptive jobs round-aligned, so one tag covers the
             // whole write.
@@ -663,6 +674,7 @@ impl Daemon {
             harness_failures,
             resumed,
             nominal_insts: ctx.workload.nominal_insts,
+            checkpoints: *lock(&ctx.checkpoints),
         };
         match self.build_artifact(&ctx, &result) {
             Ok(payload) => {

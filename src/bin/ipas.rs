@@ -552,6 +552,7 @@ fn campaign_command(args: &Args, module: ipas::ir::Module, engine: Engine) -> Ex
             eprintln!("[ipas] campaign: {runs} {fault_model} injections ...");
             let result = run_campaign_with(&workload, &config, &options)
                 .map_err(|e| format!("campaign failed: {e}"))?;
+            eprintln!("[ipas] checkpoints: {}", result.checkpoints);
             if result.resumed > 0 {
                 eprintln!(
                     "[ipas] journal: {} records resumed from disk",
@@ -656,6 +657,7 @@ fn adaptive_campaign(
         }
     };
     print_rounds(&out, config.runs);
+    eprintln!("[ipas] checkpoints: {}", out.result.checkpoints);
     if out.result.resumed > 0 {
         eprintln!(
             "[ipas] journal: {} records resumed from disk",
@@ -696,6 +698,7 @@ fn sectional_campaign(
         campaign.partition.len(),
         campaign.assignment.len()
     );
+    eprintln!("[ipas] checkpoints: {}", campaign.result.checkpoints);
     if campaign.result.resumed > 0 {
         eprintln!(
             "[ipas] journal: {} records resumed from disk",
@@ -761,6 +764,7 @@ fn incremental_campaign(
         "[ipas] incremental: baseline {} (pass via --baseline next run)",
         outcome.index_key.as_str()
     );
+    eprintln!("[ipas] checkpoints: {}", outcome.result.checkpoints);
     if outcome.result.resumed > 0 {
         eprintln!(
             "[ipas] journal: {} records resumed from disk",
