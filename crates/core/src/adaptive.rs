@@ -35,13 +35,10 @@
 use std::collections::HashMap;
 
 use ipas_analysis::features::FeatureExtractor;
-use ipas_faultsim::rounds::{
-    draw_uniform_site_plans, draw_weighted_site_plans, execute_round, UniformFallback,
-};
+use ipas_faultsim::rounds::{draw_uniform_site_plans, draw_weighted_site_plans, UniformFallback};
 use ipas_faultsim::{
-    profile_sites, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
-    CompiledCampaign, FaultModel, Injection, InjectionRecord, JournalHeader, PlanOutcome,
-    ResumeState, SamplingMode, SiteCount, Workload,
+    profile_sites, CampaignConfig, CampaignError, CampaignOptions, CampaignResult, CampaignRuntime,
+    FaultModel, Injection, InjectionRecord, SiteCount, Workload,
 };
 use ipas_svm::{Dataset, GridOptions};
 use rand::rngs::StdRng;
@@ -162,7 +159,8 @@ pub fn binary_entropy(p: f64) -> f64 {
 /// seeded RNG, the site profile with per-site feature vectors, and the
 /// entropy-based stopping rule. Callers (the in-process
 /// [`run_campaign_adaptive`] loop and the serve daemon) alternate
-/// [`AdaptiveDriver::next_round`] with round execution.
+/// [`AdaptiveDriver::next_round`] with running the round on a
+/// [`CampaignRuntime`].
 #[derive(Debug)]
 pub struct AdaptiveDriver {
     rng: StdRng,
@@ -372,21 +370,21 @@ impl AdaptiveDriver {
 }
 
 /// Runs a full adaptive campaign: seed round, retrain, margin-weighted
-/// rounds, entropy stop — with the resilient runtime (panic isolation,
-/// retries, watchdog) and round-tagged journaling of
-/// [`ipas_faultsim::rounds::execute_round`].
+/// rounds, entropy stop — each round appended to one
+/// [`CampaignRuntime`] tagged with its round id, run on its pool, and
+/// committed at the round barrier.
 ///
 /// With [`CampaignOptions::journal`] set, the journal header carries
-/// the round size ([`JournalHeader::round_runs`]) and every record its
-/// round id; a re-invocation resumes by deterministic replay — each
-/// round is re-drawn from the identical RNG stream, resumed plans are
-/// filled from the journal, and only missing plans execute, so a kill
-/// mid-round never re-draws a partial round differently.
+/// the round size ([`ipas_faultsim::JournalHeader::round_runs`]) and
+/// every record its round id; a re-invocation resumes by deterministic
+/// replay — each round is re-drawn from the identical RNG stream,
+/// resumed plans are filled from the journal, and only missing plans
+/// execute, so a kill mid-round never re-draws a partial round
+/// differently.
 ///
 /// # Errors
 ///
-/// The union of [`AdaptiveDriver::new`] and
-/// [`ipas_faultsim::rounds::execute_round`] errors.
+/// The union of [`AdaptiveDriver::new`] and [`CampaignRuntime`] errors.
 pub fn run_campaign_adaptive(
     workload: &Workload,
     config: &CampaignConfig,
@@ -394,91 +392,35 @@ pub fn run_campaign_adaptive(
     params: &AdaptiveParams,
 ) -> Result<AdaptiveResult, CampaignError> {
     let mut driver = AdaptiveDriver::new(workload, config, params.clone())?;
-    let (journal, resume) = match &options.journal {
-        Some(path) => {
-            let header = JournalHeader {
-                workload: workload.name.clone(),
-                entry: workload.entry.clone(),
-                seed: config.seed,
-                runs: config.runs,
-                sampling: SamplingMode::StaticUniform,
-                fault_model: config.fault_model,
-                eligible_results: workload.eligible_results,
-                nominal_insts: workload.nominal_insts,
-                round_runs: Some(params.round_runs),
-            };
-            let (journal, resume) = CampaignJournal::open(path, &header)?;
-            (Some(journal), resume)
-        }
-        None => (None, ResumeState::default()),
-    };
-    // Rounds draw site-restricted plans only, which always run from the
-    // entry point: no ladder is captured.
-    let compiled = CompiledCampaign::prepare(workload, config.engine, options, []);
-    let mut checkpoints = CompiledCampaign::stats_of(compiled.as_ref());
-    let mut outcomes: Vec<(usize, PlanOutcome)> = Vec::new();
-    let mut labeled: Vec<(usize, InjectionRecord)> = Vec::new();
+    let runtime = CampaignRuntime::open(workload, config, options, Some(params.round_runs))?;
     let mut rounds = Vec::new();
-    let mut base = 0usize;
-    let mut resumed_total = 0usize;
+    let mut labeled = Vec::new();
     while let Some((round, sampling, plans)) = driver.next_round(&labeled) {
-        let exec = execute_round(
-            workload,
-            config,
-            options,
-            compiled.as_ref(),
-            journal.as_ref(),
-            &resume,
-            base,
-            round,
-            &plans,
-        )?;
-        let mut positives = 0usize;
-        let mut classified = 0usize;
-        for (i, outcome) in &exec.outcomes {
-            if let PlanOutcome::Record(record) = outcome {
-                labeled.push((*i, *record));
-                classified += 1;
-                if params.label.label(record.outcome) {
-                    positives += 1;
-                }
-            }
-        }
-        let entropy = if classified == 0 {
+        let drawn = runtime.append(plans.into_iter().map(|plan| (plan, Some(round))));
+        let executed = runtime.pending().len();
+        runtime.run_pool()?;
+        labeled = runtime.records();
+        let labels: Vec<bool> = labeled
+            .iter()
+            .filter(|(i, _)| drawn.contains(i))
+            .map(|(_, record)| params.label.label(record.outcome))
+            .collect();
+        let entropy = if labels.is_empty() {
             0.0
         } else {
-            binary_entropy(positives as f64 / classified as f64)
+            binary_entropy(labels.iter().filter(|&&b| b).count() as f64 / labels.len() as f64)
         };
         rounds.push(RoundSummary {
             round,
-            drawn: plans.len(),
+            drawn: drawn.len(),
             sampling,
             entropy,
-            resumed: exec.resumed,
-            executed: exec.executed,
+            resumed: drawn.len() - executed,
+            executed,
         });
-        resumed_total += exec.resumed;
-        checkpoints += exec.checkpoints;
-        base += plans.len();
-        outcomes.extend(exec.outcomes);
     }
-    let mut records = Vec::with_capacity(outcomes.len());
-    let mut harness_failures = Vec::new();
-    for (_, outcome) in outcomes {
-        match outcome {
-            PlanOutcome::Record(record) => records.push(record),
-            PlanOutcome::Failure(failure) => harness_failures.push(failure),
-        }
-    }
-    harness_failures.sort_by_key(|f| f.plan_index);
     Ok(AdaptiveResult {
-        result: CampaignResult {
-            records,
-            harness_failures,
-            resumed: resumed_total,
-            nominal_insts: workload.nominal_insts,
-            checkpoints,
-        },
+        result: runtime.finish()?,
         rounds,
         stopped_early: driver.stopped_early(),
     })

@@ -5,8 +5,8 @@
 //! slice independently; the spliced result is byte-identical to the
 //! monolithic campaign by construction. This module adds the payoff:
 //! a **delta planner** that, given a stored baseline, re-executes only
-//! the sections whose content or plan slice changed and splices the
-//! cached outcomes of everything else.
+//! the sections whose content or plan slice changed and prefills the
+//! campaign runtime with the cached outcomes of everything else.
 //!
 //! The baseline is a pair of store artifacts:
 //!
@@ -32,10 +32,10 @@ use std::collections::HashMap;
 use std::str::FromStr;
 
 use ipas_analysis::sections::SectionPartition;
-use ipas_faultsim::sections::{assign_sections, execute_sections, splice_outcomes};
+use ipas_faultsim::sections::assign_sections;
 use ipas_faultsim::{
-    draw_plans, CampaignConfig, CampaignError, CampaignOptions, CampaignResult, FaultModel,
-    HarnessFailure, Injection, InjectionRecord, Outcome, PlanOutcome, Workload,
+    draw_plans, CampaignConfig, CampaignError, CampaignOptions, CampaignResult, CampaignRuntime,
+    FaultModel, HarnessFailure, Injection, InjectionRecord, Outcome, PlanOutcome, Workload,
 };
 use ipas_ir::{FuncId, InstId};
 use ipas_store::{
@@ -182,18 +182,23 @@ pub fn run_campaign_incremental(
         }
     }
 
-    let mask: Vec<bool> = cached.iter().map(Option::is_none).collect();
-    let exec = execute_sections(workload, config, options, &plans, &assignment, &mask)?;
-    let executed = exec.executed;
-    let resumed = exec.resumed;
-    let checkpoints = exec.checkpoints;
+    let runtime = CampaignRuntime::open(workload, config, options, None)?;
+    runtime.append(
+        plans
+            .iter()
+            .copied()
+            .zip(assignment.iter().map(|&s| Some(s))),
+    );
+    runtime.prefill(cached.iter().flatten().flatten().cloned())?;
+    let executed = runtime.pending().len();
+    runtime.run_pool()?;
 
     // Persist fresh sections' profiles (cached ones are already stored
     // under the identical key — fingerprint, digest, and identity all
     // matched, so the bytes are the same artifact).
     let mut fresh: Vec<Vec<(usize, PlanOutcome)>> = (0..total).map(|_| Vec::new()).collect();
-    for (i, outcome) in &exec.outcomes {
-        fresh[assignment[*i] as usize].push((*i, outcome.clone()));
+    for (i, outcome) in runtime.outcomes() {
+        fresh[assignment[i] as usize].push((i, outcome));
     }
     for s in 0..total {
         if cached[s].is_some() {
@@ -236,18 +241,10 @@ pub fn run_campaign_incremental(
     ));
     store.put(&index_key, &index)?;
 
-    let sections_reused = cached.iter().filter(|c| c.is_some()).count();
-    let spliced = exec
-        .outcomes
-        .into_iter()
-        .chain(cached.into_iter().flatten().flatten());
-    let mut result = splice_outcomes(plans.len(), spliced, resumed, workload.nominal_insts)?;
-    result.checkpoints = checkpoints;
-
     Ok(IncrementalOutcome {
-        result,
+        result: runtime.finish()?,
         sections_total: total,
-        sections_reused,
+        sections_reused: cached.iter().filter(|c| c.is_some()).count(),
         injections_total: plans.len(),
         injections_executed: executed,
         index_key,

@@ -5,13 +5,14 @@
 //! that pins the campaign's identity (workload, seed, run count,
 //! sampling mode, and the workload fingerprint); every subsequent line
 //! is one completed plan index — either an [`InjectionRecord`] or a
-//! [`HarnessFailure`]. Lines are appended and flushed one at a time, so
-//! a killed campaign loses at most the entry being written; a torn
-//! final line is detected and ignored on resume.
+//! [`HarnessFailure`]. Each append is one write + flush of whole lines,
+//! so a killed campaign loses at most the batch being written; a torn
+//! final line is detected, ignored, and cut off on resume.
 //!
-//! The format is deliberately flat (string and integer fields only) so
-//! it can be written and parsed without a serialization dependency, and
-//! inspected with standard line tools.
+//! The format is deliberately flat (string and integer fields only, the
+//! workspace's [`ipas_ir::json`] codec) so it can be written and parsed
+//! without a serialization dependency, and inspected with standard line
+//! tools.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,16 +23,19 @@ use std::sync::Mutex;
 
 use ipas_ir::{FuncId, InstId};
 
+use ipas_ir::json::{Fields, LineBuilder};
+
 use crate::{FaultModel, HarnessFailure, InjectionRecord, Outcome, PlanOutcome, SamplingMode};
 
 /// Journal format version, bumped on incompatible line-format changes.
 /// Version 2 added the fault model to the header and a per-record
 /// schema version (`v`) plus fault model; version-1 journals are
 /// rejected with a typed mismatch rather than silently merged.
-/// Version 3 lets records carry an optional section id (`sec`) for
-/// section-granular campaigns; version-2 journals (headers and
+/// Version 3 lets records carry an optional tag (`sec`: the section id
+/// of a sectional campaign, the round id of an adaptive one) for
+/// inspection; resume ignores it. Version-2 journals (headers and
 /// records) are still accepted on resume because every v2 line parses
-/// identically under v3 — the section id is simply absent.
+/// identically under v3 — the tag is simply absent.
 const FORMAT_VERSION: u64 = 3;
 
 /// The newest *previous* format this version can still resume from.
@@ -128,35 +132,9 @@ pub struct JournalHeader {
     pub round_runs: Option<usize>,
 }
 
-/// Entries recovered from an existing journal, keyed by plan index.
-#[derive(Debug, Default)]
-pub struct ResumeState {
-    /// Plan indices already classified.
-    pub records: HashMap<usize, InjectionRecord>,
-    /// Plan indices that exhausted their retry budget.
-    pub failures: HashMap<usize, HarnessFailure>,
-    /// Section ids carried by v3 section-tagged records, keyed by plan
-    /// index. Plans journaled by a non-sectional campaign (or under the
-    /// v2 format) are absent here.
-    pub sections: HashMap<usize, u32>,
-}
-
-impl ResumeState {
-    /// Number of recovered plan indices.
-    pub fn len(&self) -> usize {
-        self.records.len() + self.failures.len()
-    }
-
-    /// True when nothing was recovered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.failures.is_empty()
-    }
-
-    /// True when `plan` needs no re-execution.
-    pub fn contains(&self, plan: usize) -> bool {
-        self.records.contains_key(&plan) || self.failures.contains_key(&plan)
-    }
-}
+/// Outcomes recovered from an existing journal, keyed by plan index.
+/// Record tags are not read back: a plan's index alone identifies it.
+pub type ResumeState = HashMap<usize, PlanOutcome>;
 
 /// An append-only campaign checkpoint file (see module docs).
 #[derive(Debug)]
@@ -168,7 +146,9 @@ pub struct CampaignJournal {
 impl CampaignJournal {
     /// Opens (or creates) the journal at `path` for the campaign
     /// described by `header`, returning the journal and any entries
-    /// recovered from a previous, interrupted invocation.
+    /// recovered from a previous, interrupted invocation. A torn final
+    /// line is cut off the file, so the next append starts on a line of
+    /// its own.
     ///
     /// # Errors
     ///
@@ -184,21 +164,22 @@ impl CampaignJournal {
             path: path.to_path_buf(),
             error,
         };
-        let mut resume = ResumeState::default();
-        let preexisting = path.exists();
-        if preexisting {
-            let mut text = String::new();
+        let mut text = String::new();
+        if path.exists() {
             File::open(path)
                 .and_then(|mut f| f.read_to_string(&mut text))
                 .map_err(io_err)?;
-            resume = parse_journal(&text, header)?;
         }
+        let (resume, kept) = parse_journal(&text, header)?;
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(io_err)?;
-        if !preexisting {
+        if kept < text.len() {
+            file.set_len(kept as u64).map_err(io_err)?;
+        }
+        if kept == 0 {
             file.write_all(encode_header(header).as_bytes())
                 .and_then(|()| file.flush())
                 .map_err(io_err)?;
@@ -212,155 +193,38 @@ impl CampaignJournal {
         ))
     }
 
-    /// Appends one classified record and flushes it to disk.
+    /// Appends a batch of completed plans, each line tagged with its
+    /// plan's tag (see [`outcome_line`]), in one write + flush. The
+    /// buffer is written sequentially, so a crash mid-append can only
+    /// tear the *final* line on disk — the torn-tail shape resume
+    /// tolerates; every complete line before the tear is recovered. An
+    /// empty batch writes nothing.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when the append fails; the campaign should
     /// stop rather than continue without its checkpoint.
-    pub fn append_record(&self, plan: usize, record: &InjectionRecord) -> Result<(), JournalError> {
-        self.append_line(&encode_record(plan, record, None))
-    }
-
-    /// Appends one classified record tagged with the section it was
-    /// executed under (section-granular campaigns) and flushes it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_record_in_section(
+    pub fn append<'a>(
         &self,
-        plan: usize,
-        record: &InjectionRecord,
-        section: u32,
+        outcomes: impl IntoIterator<Item = (usize, &'a PlanOutcome, Option<u32>)>,
     ) -> Result<(), JournalError> {
-        self.append_line(&encode_record(plan, record, Some(section)))
-    }
-
-    /// Appends one harness failure and flushes it to disk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_failure(&self, failure: &HarnessFailure) -> Result<(), JournalError> {
-        self.append_line(&encode_failure(failure))
-    }
-
-    /// Appends a whole chunk of completed plans in one write + flush.
-    ///
-    /// This is the chunked-execution writer: a worker that finished a
-    /// stolen chunk checkpoints all of its outcomes with a single
-    /// syscall instead of one write per plan. The buffer is written
-    /// sequentially, so a crash mid-append can only tear the *final*
-    /// line on disk — exactly the torn-tail shape resume already
-    /// tolerates; every complete line before the tear is recovered.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_outcomes(&self, outcomes: &[(usize, PlanOutcome)]) -> Result<(), JournalError> {
-        self.append_outcomes_in_section(outcomes, None)
-    }
-
-    /// Like [`CampaignJournal::append_outcomes`], tagging each record of
-    /// the chunk with a section id when `section` is set. Section-aligned
-    /// chunks have one section, so the tag applies to the whole chunk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CampaignJournal::append_record`].
-    pub fn append_outcomes_in_section(
-        &self,
-        outcomes: &[(usize, PlanOutcome)],
-        section: Option<u32>,
-    ) -> Result<(), JournalError> {
-        if outcomes.is_empty() {
+        let buf: String = outcomes
+            .into_iter()
+            .map(|(plan, outcome, tag)| outcome_line(plan, outcome, tag))
+            .collect();
+        if buf.is_empty() {
             return Ok(());
         }
-        let mut buf = String::with_capacity(outcomes.len() * 128);
-        for (plan, outcome) in outcomes {
-            buf.push_str(&outcome_line_in_section(*plan, outcome, section));
-        }
-        self.append_line(&buf)
-    }
-
-    fn append_line(&self, line: &str) -> Result<(), JournalError> {
         // Recover the file from a poisoned lock: the holder only ever
-        // writes a complete line or fails, and a torn tail is tolerated
+        // writes complete lines or fails, and a torn tail is tolerated
         // on resume anyway.
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())
+        file.write_all(buf.as_bytes())
             .and_then(|()| file.flush())
             .map_err(|error| JournalError::Io {
                 path: self.path.clone(),
                 error,
             })
-    }
-}
-
-fn sampling_label(mode: SamplingMode) -> &'static str {
-    mode.wire()
-}
-
-fn outcome_label(outcome: Outcome) -> &'static str {
-    // Stable wire names, independent of the display labels.
-    outcome.wire()
-}
-
-fn parse_outcome(label: &str) -> Option<Outcome> {
-    Outcome::from_wire(label)
-}
-
-// ---------------------------------------------------------------------
-// Flat JSON encoding (strings and unsigned integers only).
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-struct LineBuilder {
-    buf: String,
-}
-
-impl LineBuilder {
-    fn new(kind: &str) -> Self {
-        let mut buf = String::with_capacity(128);
-        buf.push_str("{\"kind\":\"");
-        buf.push_str(kind);
-        buf.push('"');
-        LineBuilder { buf }
-    }
-
-    fn num(mut self, key: &str, value: u64) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    fn str(mut self, key: &str, value: &str) -> Self {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":\"");
-        escape_into(&mut self.buf, value);
-        self.buf.push('"');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push_str("}\n");
-        self.buf
     }
 }
 
@@ -371,7 +235,7 @@ fn encode_header(h: &JournalHeader) -> String {
         .str("entry", &h.entry)
         .num("seed", h.seed)
         .num("runs", h.runs as u64)
-        .str("sampling", sampling_label(h.sampling))
+        .str("sampling", h.sampling.wire())
         .str("model", &h.fault_model.to_string())
         .num("eligible", h.eligible_results)
         .num("nominal", h.nominal_insts);
@@ -383,163 +247,52 @@ fn encode_header(h: &JournalHeader) -> String {
     b.finish()
 }
 
-fn encode_record(plan: usize, r: &InjectionRecord, section: Option<u32>) -> String {
-    let mut b = LineBuilder::new("record")
-        .num("v", FORMAT_VERSION)
-        .num("plan", plan as u64)
-        .str("model", &r.model.to_string())
-        .num("func", r.site.0.index() as u64)
-        .num("inst", r.site.1.index() as u64)
-        .num("target", r.target)
-        .num("bit", r.bit as u64)
-        .str("outcome", outcome_label(r.outcome))
-        .num("insts", r.dynamic_insts)
-        .num("latency", r.latency)
-        .num("attempts", r.attempts as u64);
-    if let Some(sec) = section {
-        b = b.num("sec", sec as u64);
-    }
-    b.finish()
-}
-
-/// Encodes one completed plan as its journal line (newline-terminated).
+/// Encodes one completed plan as its journal line (newline-terminated),
+/// tagging a record with `tag` — its section or round id — when set.
+/// Harness failures are never tagged: their plan index already
+/// identifies them.
 ///
 /// This is the journal wire format: the serving layer streams these
 /// exact lines to watching clients, so a journal on disk and a watched
 /// event stream are byte-interchangeable.
-pub fn outcome_line(plan: usize, outcome: &PlanOutcome) -> String {
-    outcome_line_in_section(plan, outcome, None)
-}
-
-/// Like [`outcome_line`], tagging a record with its section id when
-/// `section` is set (harness failures are never section-tagged: their
-/// plan index already identifies them).
-pub fn outcome_line_in_section(plan: usize, outcome: &PlanOutcome, section: Option<u32>) -> String {
+pub fn outcome_line(plan: usize, outcome: &PlanOutcome, tag: Option<u32>) -> String {
     match outcome {
-        PlanOutcome::Record(record) => encode_record(plan, record, section),
-        PlanOutcome::Failure(failure) => encode_failure(failure),
-    }
-}
-
-fn encode_failure(f: &HarnessFailure) -> String {
-    LineBuilder::new("harness_error")
-        .num("plan", f.plan_index as u64)
-        .num("target", f.target)
-        .num("bit", f.bit as u64)
-        .num("attempts", f.attempts as u64)
-        .str("error", &f.error)
-        .finish()
-}
-
-// ---------------------------------------------------------------------
-// Flat JSON parsing.
-
-#[derive(Debug, PartialEq)]
-enum JsonVal {
-    Num(u64),
-    Str(String),
-}
-
-/// Parses one flat JSON object (`{"k":123,"k2":"v"}`) into key/value
-/// pairs. Returns `None` on any syntax error.
-fn parse_flat(line: &str) -> Option<Vec<(String, JsonVal)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
+        PlanOutcome::Record(r) => {
+            let mut b = LineBuilder::new("record")
+                .num("v", FORMAT_VERSION)
+                .num("plan", plan as u64)
+                .str("model", &r.model.to_string())
+                .num("func", r.site.0.index() as u64)
+                .num("inst", r.site.1.index() as u64)
+                .num("target", r.target)
+                .num("bit", r.bit as u64)
+                .str("outcome", r.outcome.wire())
+                .num("insts", r.dynamic_insts)
+                .num("latency", r.latency)
+                .num("attempts", r.attempts as u64);
+            if let Some(sec) = tag {
+                b = b.num("sec", sec as u64);
             }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
+            b.finish()
         }
-        if *chars.peek()? != '"' {
-            return None;
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next()? != ':' {
-            return None;
-        }
-        let value = match chars.peek()? {
-            '"' => JsonVal::Str(parse_string(&mut chars)?),
-            c if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    digits.push(chars.next().expect("peeked"));
-                }
-                JsonVal::Num(digits.parse().ok()?)
-            }
-            _ => return None,
-        };
-        fields.push((key, value));
-    }
-    if chars.next().is_some() {
-        return None; // trailing garbage
-    }
-    Some(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
+        PlanOutcome::Failure(f) => LineBuilder::new("harness_error")
+            .num("plan", f.plan_index as u64)
+            .num("target", f.target)
+            .num("bit", f.bit as u64)
+            .num("attempts", f.attempts as u64)
+            .str("error", &f.error)
+            .finish(),
     }
 }
 
-struct Fields(Vec<(String, JsonVal)>);
-
-impl Fields {
-    fn num(&self, key: &str) -> Option<u64> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                JsonVal::Num(n) => Some(*n),
-                JsonVal::Str(_) => None,
-            })
-    }
-
-    fn str(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                JsonVal::Str(s) => Some(s.as_str()),
-                JsonVal::Num(_) => None,
-            })
-    }
-}
-
-fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, JournalError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut resume = ResumeState::default();
+/// Parses a journal's text, returning the recovered outcomes and the
+/// byte length of the lines accepted. The rest — a final line torn by a
+/// crash mid-append, which lacks its newline or does not parse — is
+/// what [`CampaignJournal::open`] cuts off.
+fn parse_journal(text: &str, expect: &JournalHeader) -> Result<(ResumeState, usize), JournalError> {
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let mut resume = ResumeState::new();
+    let mut kept = 0;
     // A torn write can only affect the final line (appends are
     // sequential); anything unparsable before that is real corruption.
     let last = lines.len();
@@ -550,13 +303,13 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
             line: line_no,
             reason,
         };
-        let Some(fields) = parse_flat(line).map(Fields) else {
+        let Some(fields) = line.strip_suffix('\n').and_then(Fields::parse) else {
             if is_last {
                 break; // torn tail from a crash mid-append
             }
             return Err(corrupt("not a flat JSON object".into()));
         };
-        let kind = fields.str("kind").unwrap_or("");
+        let kind = fields.kind();
         if i == 0 {
             if kind != "header" {
                 return Err(corrupt(format!(
@@ -564,8 +317,19 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
                 )));
             }
             check_header(&fields, expect)?;
+            kept += line.len();
             continue;
         }
+        let in_range = |plan: usize| {
+            if plan < expect.runs {
+                Ok(plan)
+            } else {
+                Err(corrupt(format!(
+                    "plan index {plan} out of range for {} runs",
+                    expect.runs
+                )))
+            }
+        };
         match kind {
             "record" => {
                 let missing = || corrupt("record line missing a field".into());
@@ -593,16 +357,10 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
                         campaign: expect.fault_model.to_string(),
                     });
                 }
-                let plan = fields.num("plan").ok_or_else(missing)? as usize;
-                if plan >= expect.runs {
-                    return Err(corrupt(format!(
-                        "plan index {plan} out of range for {} runs",
-                        expect.runs
-                    )));
-                }
+                let plan = in_range(fields.num("plan").ok_or_else(missing)? as usize)?;
                 let outcome = fields
                     .str("outcome")
-                    .and_then(parse_outcome)
+                    .and_then(Outcome::from_wire)
                     .ok_or_else(|| corrupt("unknown outcome".into()))?;
                 let record = InjectionRecord {
                     model,
@@ -617,32 +375,11 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
                     latency: fields.num("latency").ok_or_else(missing)?,
                     attempts: fields.num("attempts").ok_or_else(missing)? as u32,
                 };
-                resume.failures.remove(&plan);
-                resume.records.insert(plan, record);
-                // Section tags exist only in the v3 format; a stray
-                // `sec` on a v2 record is ignored rather than trusted.
-                if v == FORMAT_VERSION {
-                    match fields.num("sec") {
-                        Some(sec) => {
-                            resume.sections.insert(plan, sec as u32);
-                        }
-                        None => {
-                            resume.sections.remove(&plan);
-                        }
-                    }
-                } else {
-                    resume.sections.remove(&plan);
-                }
+                resume.insert(plan, PlanOutcome::Record(record));
             }
             "harness_error" => {
                 let missing = || corrupt("harness_error line missing a field".into());
-                let plan = fields.num("plan").ok_or_else(missing)? as usize;
-                if plan >= expect.runs {
-                    return Err(corrupt(format!(
-                        "plan index {plan} out of range for {} runs",
-                        expect.runs
-                    )));
-                }
+                let plan = in_range(fields.num("plan").ok_or_else(missing)? as usize)?;
                 let failure = HarnessFailure {
                     plan_index: plan,
                     target: fields.num("target").ok_or_else(missing)?,
@@ -650,8 +387,9 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
                     attempts: fields.num("attempts").ok_or_else(missing)? as u32,
                     error: fields.str("error").ok_or_else(missing)?.to_string(),
                 };
-                if !resume.records.contains_key(&plan) {
-                    resume.failures.insert(plan, failure);
+                // A classified record of the same plan wins.
+                if !matches!(resume.get(&plan), Some(PlanOutcome::Record(_))) {
+                    resume.insert(plan, PlanOutcome::Failure(failure));
                 }
             }
             other => {
@@ -661,8 +399,9 @@ fn parse_journal(text: &str, expect: &JournalHeader) -> Result<ResumeState, Jour
                 return Err(corrupt(format!("unknown line kind `{other}`")));
             }
         }
+        kept += line.len();
     }
-    Ok(resume)
+    Ok((resume, kept))
 }
 
 fn check_header(fields: &Fields, expect: &JournalHeader) -> Result<(), JournalError> {
@@ -705,7 +444,7 @@ fn check_header(fields: &Fields, expect: &JournalHeader) -> Result<(), JournalEr
         (
             "sampling mode",
             fields.str("sampling").unwrap_or("").to_string(),
-            sampling_label(expect.sampling).to_string(),
+            expect.sampling.wire().to_string(),
         ),
         (
             "fault model",
@@ -776,6 +515,27 @@ mod tests {
         }
     }
 
+    fn failure(plan: usize, error: &str) -> PlanOutcome {
+        PlanOutcome::Failure(HarnessFailure {
+            plan_index: plan,
+            target: 7,
+            bit: 3,
+            attempts: 3,
+            error: error.into(),
+        })
+    }
+
+    /// The journal line of `record(plan)`, tagged with `tag`.
+    fn record_line(plan: usize, tag: Option<u32>) -> String {
+        outcome_line(plan, &PlanOutcome::Record(record(plan)), tag)
+    }
+
+    fn append_record(journal: &CampaignJournal, plan: usize, tag: Option<u32>) {
+        journal
+            .append([(plan, &PlanOutcome::Record(record(plan)), tag)])
+            .expect("append");
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ipas-journal-tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -794,22 +554,15 @@ mod tests {
         {
             let (journal, resume) = CampaignJournal::open(&path, &header()).expect("fresh");
             assert!(resume.is_empty());
-            journal.append_record(3, &record(3)).expect("append");
-            journal
-                .append_failure(&HarnessFailure {
-                    plan_index: 5,
-                    target: 9,
-                    bit: 63,
-                    attempts: 3,
-                    error: "panicked: \"quoted\"\nline two".into(),
-                })
-                .expect("append");
+            append_record(&journal, 3, None);
+            let quoted = failure(5, "panicked: \"quoted\"\nline two");
+            journal.append([(5, &quoted, None)]).expect("append");
         }
         let (_journal, resume) = CampaignJournal::open(&path, &header()).expect("reopen");
         assert_eq!(resume.len(), 2);
-        assert_eq!(resume.records[&3], record(3));
-        assert_eq!(resume.failures[&5].error, "panicked: \"quoted\"\nline two");
-        assert!(resume.contains(3) && resume.contains(5) && !resume.contains(0));
+        assert_eq!(resume[&3], PlanOutcome::Record(record(3)));
+        assert_eq!(resume[&5], failure(5, "panicked: \"quoted\"\nline two"));
+        assert!(!resume.contains_key(&0));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -860,19 +613,19 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
-            journal.append_record(0, &record(0)).expect("append");
+            append_record(&journal, 0, None);
         }
         let mut text = std::fs::read_to_string(&path).expect("read");
-        text.push_str(&encode_record(
+        text.push_str(&outcome_line(
             1,
-            &InjectionRecord {
+            &PlanOutcome::Record(InjectionRecord {
                 model: FaultModel::StuckValue,
                 ..record(1)
-            },
+            }),
             None,
         ));
         // Pad with a valid line so the mixed record is not a torn tail.
-        text.push_str(&encode_record(2, &record(2), None));
+        text.push_str(&record_line(2, None));
         std::fs::write(&path, &text).expect("write");
         match CampaignJournal::open(&path, &header()) {
             Err(JournalError::Mismatch {
@@ -884,17 +637,13 @@ mod tests {
 
         // A record written under an older per-record schema (no `v`
         // field) is a schema-version mismatch.
-        let mut old_schema = String::new();
-        {
-            let h = header();
-            old_schema.push_str(&encode_header(&h));
-        }
+        let mut old_schema = encode_header(&header());
         old_schema.push_str(
             "{\"kind\":\"record\",\"plan\":0,\"func\":1,\"inst\":2,\"target\":40,\
              \"bit\":13,\"outcome\":\"masked\",\"insts\":501,\"latency\":17,\
              \"attempts\":1}\n",
         );
-        old_schema.push_str(&encode_record(1, &record(1), None));
+        old_schema.push_str(&record_line(1, None));
         std::fs::write(&path, &old_schema).expect("write");
         match CampaignJournal::open(&path, &header()) {
             Err(JournalError::Mismatch {
@@ -927,7 +676,7 @@ mod tests {
     #[test]
     fn resumes_version_two_journal() {
         // A journal written by the previous (v2) format resumes under
-        // v3: same header fields, records without section tags.
+        // v3: same header fields, records without tags.
         let path = temp_path("v2-compat");
         let _ = std::fs::remove_file(&path);
         let mut text = String::from(
@@ -940,8 +689,8 @@ mod tests {
              \"func\":1,\"inst\":5,\"target\":43,\"bit\":13,\"outcome\":\"masked\",\
              \"insts\":501,\"latency\":17,\"attempts\":1}\n",
         );
-        // A stray `sec` on a v2 record is not trusted: v2 writers never
-        // emitted one, so it cannot mean what v3 means by it.
+        // A stray `sec` on a v2 record changes nothing: tags are never
+        // read back.
         text.push_str(
             "{\"kind\":\"record\",\"v\":2,\"plan\":4,\"model\":\"single-bit\",\
              \"func\":1,\"inst\":6,\"target\":44,\"bit\":13,\"outcome\":\"masked\",\
@@ -950,84 +699,76 @@ mod tests {
         std::fs::write(&path, &text).expect("write");
         let (journal, resume) = CampaignJournal::open(&path, &header()).expect("v2 resumes");
         assert_eq!(resume.len(), 2);
-        assert_eq!(resume.records[&3], record(3));
-        assert!(resume.sections.is_empty(), "v2 records carry no sections");
-        // Continuing the campaign appends v3 records into the same file,
-        // and the mixed-version journal still resumes.
-        journal
-            .append_record_in_section(5, &record(5), 1)
-            .expect("append");
+        assert_eq!(resume[&3], PlanOutcome::Record(record(3)));
+        assert_eq!(resume[&4], PlanOutcome::Record(record(4)));
+        // Continuing the campaign appends tagged v3 records into the
+        // same file, and the mixed-version journal still resumes.
+        append_record(&journal, 5, Some(1));
         drop(journal);
+        let written = std::fs::read_to_string(&path).expect("read");
+        assert!(written.starts_with(&text), "v2 lines are kept as written");
+        assert_eq!(&written[text.len()..], record_line(5, Some(1)));
+        assert!(written.ends_with(",\"sec\":1}\n"));
         let (_j, resume) = CampaignJournal::open(&path, &header()).expect("mixed resumes");
         assert_eq!(resume.len(), 3);
-        assert_eq!(resume.sections.get(&5), Some(&1));
+        assert_eq!(resume[&5], PlanOutcome::Record(record(5)));
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
-    fn section_tags_round_trip_and_tolerate_torn_tail() {
-        let path = temp_path("sections");
+    fn tags_are_written_per_record_and_tolerate_torn_tail() {
+        let path = temp_path("tags");
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
+            append_record(&journal, 0, Some(2));
+            let (r1, f2, r3) = (
+                PlanOutcome::Record(record(1)),
+                failure(2, "boom"),
+                PlanOutcome::Record(record(3)),
+            );
             journal
-                .append_record_in_section(0, &record(0), 2)
-                .expect("append");
-            let chunk: Vec<(usize, PlanOutcome)> = vec![
-                (1, PlanOutcome::Record(record(1))),
-                (
-                    2,
-                    PlanOutcome::Failure(HarnessFailure {
-                        plan_index: 2,
-                        target: 7,
-                        bit: 3,
-                        attempts: 3,
-                        error: "boom".into(),
-                    }),
-                ),
-                (3, PlanOutcome::Record(record(3))),
-            ];
-            journal
-                .append_outcomes_in_section(&chunk, Some(5))
-                .expect("chunk append");
+                .append([(1, &r1, Some(5)), (2, &f2, Some(5)), (3, &r3, Some(6))])
+                .expect("batch append");
         }
+        let full = std::fs::read_to_string(&path).expect("read");
+        let lines: Vec<&str> = full.lines().collect();
+        assert_eq!(lines.len(), 5, "header + 4 outcome lines");
+        assert!(lines[1].ends_with(",\"sec\":2}"));
+        assert!(lines[2].ends_with(",\"sec\":5}"));
+        assert!(
+            !lines[3].contains("\"sec\""),
+            "harness failures are never tagged"
+        );
+        assert!(lines[4].ends_with(",\"sec\":6}"), "each record its own tag");
         let (_j, resume) = CampaignJournal::open(&path, &header()).expect("reopen");
         assert_eq!(resume.len(), 4);
-        assert_eq!(resume.sections.get(&0), Some(&2));
-        assert_eq!(resume.sections.get(&1), Some(&5));
-        assert_eq!(resume.sections.get(&3), Some(&5));
-        assert!(
-            !resume.sections.contains_key(&2),
-            "harness failures are never section-tagged"
-        );
+        assert_eq!(resume[&3], PlanOutcome::Record(record(3)));
 
-        // Tearing the final (section-tagged) record drops only that
-        // plan; earlier section tags survive.
-        let full = std::fs::read_to_string(&path).expect("read");
+        // Tearing the final (tagged) record drops only that plan.
         std::fs::write(&path, &full.as_bytes()[..full.len() - 20]).expect("tear");
         let (_j, resume) = CampaignJournal::open(&path, &header()).expect("torn tolerated");
         assert_eq!(resume.len(), 3);
-        assert_eq!(resume.sections.get(&1), Some(&5));
-        assert!(!resume.contains(3), "torn section-tagged record re-runs");
+        assert!(!resume.contains_key(&3), "torn tagged record re-runs");
         std::fs::remove_file(&path).expect("cleanup");
     }
 
     #[test]
-    fn rejects_section_tagged_record_drift() {
-        // Model and schema drift are caught on section-tagged records
-        // exactly as on plain ones.
+    fn rejects_tagged_record_drift() {
+        // Model and schema drift are caught on tagged records exactly
+        // as on plain ones.
         let path = temp_path("sec-drift");
         let _ = std::fs::remove_file(&path);
         let mut text = encode_header(&header());
-        text.push_str(&encode_record(
+        text.push_str(&outcome_line(
             0,
-            &InjectionRecord {
+            &PlanOutcome::Record(InjectionRecord {
                 model: FaultModel::StuckValue,
                 ..record(0)
-            },
+            }),
             Some(1),
         ));
-        text.push_str(&encode_record(1, &record(1), Some(1)));
+        text.push_str(&record_line(1, Some(1)));
         std::fs::write(&path, &text).expect("write");
         match CampaignJournal::open(&path, &header()) {
             Err(JournalError::Mismatch {
@@ -1043,7 +784,7 @@ mod tests {
              \"func\":1,\"inst\":2,\"target\":40,\"bit\":13,\"outcome\":\"masked\",\
              \"insts\":501,\"latency\":17,\"attempts\":1,\"sec\":0}\n",
         );
-        text.push_str(&encode_record(1, &record(1), Some(1)));
+        text.push_str(&record_line(1, Some(1)));
         std::fs::write(&path, &text).expect("write");
         match CampaignJournal::open(&path, &header()) {
             Err(JournalError::Mismatch {
@@ -1102,7 +843,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
-            journal.append_record(0, &record(0)).expect("append");
+            append_record(&journal, 0, None);
         }
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("{\"kind\":\"record\",\"plan\":1,\"fu"); // torn append
@@ -1127,48 +868,75 @@ mod tests {
     }
 
     #[test]
-    fn chunked_append_resumes_after_torn_chunk() {
-        // The chunked writer emits several lines in one write. A crash
-        // mid-write tears the buffer at an arbitrary byte offset — but
-        // the tear is always at the *end* of the file, so resume must
-        // recover every complete line of the chunk and drop only the
-        // torn tail.
+    fn resume_cuts_the_torn_tail_before_appending() {
+        // Appending after a torn tail must not glue the new line onto
+        // the fragment: the journal stays resumable through any number
+        // of crash/resume cycles.
+        let path = temp_path("torn-append");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
+            append_record(&journal, 0, None);
+        }
+        let clean = std::fs::read_to_string(&path).expect("read");
+        // A complete record missing only its newline is torn too.
+        let torn = format!("{clean}{}", record_line(1, None).trim_end());
+        std::fs::write(&path, &torn).expect("tear");
+        {
+            let (journal, resume) = CampaignJournal::open(&path, &header()).expect("torn resumes");
+            assert_eq!(resume.len(), 1, "only complete lines resume");
+            append_record(&journal, 1, None);
+        }
+        let healed = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(healed, format!("{clean}{}", record_line(1, None)));
+        let (_j, resume) = CampaignJournal::open(&path, &header()).expect("healed resumes");
+        assert_eq!(resume.len(), 2);
+
+        // A torn header (or an empty file) starts the journal afresh.
+        for stub in ["", "{\"kind\":\"head"] {
+            std::fs::write(&path, stub).expect("stub");
+            drop(CampaignJournal::open(&path, &header()).expect("stub resumes"));
+            assert_eq!(
+                std::fs::read_to_string(&path).expect("read"),
+                encode_header(&header())
+            );
+        }
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn batch_append_resumes_after_torn_batch() {
+        // A batch is several lines in one write. A crash mid-write
+        // tears the buffer at an arbitrary byte offset — but the tear
+        // is always at the *end* of the file, so resume must recover
+        // every complete line of the batch and drop only the torn tail.
         let path = temp_path("torn-chunk");
         let _ = std::fs::remove_file(&path);
         {
             let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
-            let chunk: Vec<(usize, PlanOutcome)> = vec![
+            let batch: Vec<(usize, PlanOutcome)> = vec![
                 (0, PlanOutcome::Record(record(0))),
                 (1, PlanOutcome::Record(record(1))),
-                (
-                    2,
-                    PlanOutcome::Failure(HarnessFailure {
-                        plan_index: 2,
-                        target: 7,
-                        bit: 3,
-                        attempts: 3,
-                        error: "boom".into(),
-                    }),
-                ),
+                (2, failure(2, "boom")),
                 (3, PlanOutcome::Record(record(3))),
             ];
-            journal.append_outcomes(&chunk).expect("chunk append");
             journal
-                .append_outcomes(&[])
-                .expect("empty chunk is a no-op");
+                .append(batch.iter().map(|(i, o)| (*i, o, None)))
+                .expect("batch append");
+            journal.append([]).expect("empty batch is a no-op");
         }
         let full = std::fs::read_to_string(&path).expect("read");
         assert_eq!(full.lines().count(), 5, "header + 4 outcome lines");
 
-        // Tear the final record mid-line (crash during the chunk write).
+        // Tear the final record mid-line (crash during the batch write).
         let keep = full.len() - 25;
         std::fs::write(&path, &full.as_bytes()[..keep]).expect("tear");
-        let (_j, resume) = CampaignJournal::open(&path, &header()).expect("torn chunk tolerated");
-        assert_eq!(resume.len(), 3, "complete lines of the chunk survive");
-        assert_eq!(resume.records[&0], record(0));
-        assert_eq!(resume.records[&1], record(1));
-        assert_eq!(resume.failures[&2].error, "boom");
-        assert!(!resume.contains(3), "torn final record is re-executed");
+        let (_j, resume) = CampaignJournal::open(&path, &header()).expect("torn batch tolerated");
+        assert_eq!(resume.len(), 3, "complete lines of the batch survive");
+        assert_eq!(resume[&0], PlanOutcome::Record(record(0)));
+        assert_eq!(resume[&1], PlanOutcome::Record(record(1)));
+        assert_eq!(resume[&2], failure(2, "boom"));
+        assert!(!resume.contains_key(&3), "torn final record is re-executed");
 
         // Tear exactly on a line boundary: the last line is simply
         // missing, nothing is unparsable, and resume still works.
@@ -1185,32 +953,28 @@ mod tests {
     }
 
     #[test]
-    fn outcome_line_matches_single_append_encoding() {
-        // The public wire encoder and the journal's own appends must
-        // stay byte-identical: the serving layer streams outcome_line
-        // output while the journal file is written through
-        // append_record/append_outcomes.
-        let rec_line = outcome_line(4, &PlanOutcome::Record(record(4)));
-        assert_eq!(rec_line, encode_record(4, &record(4), None));
-        let failure = HarnessFailure {
-            plan_index: 9,
-            target: 1,
-            bit: 2,
-            attempts: 3,
-            error: "e".into(),
-        };
-        let fail_line = outcome_line(9, &PlanOutcome::Failure(failure.clone()));
-        assert_eq!(fail_line, encode_failure(&failure));
-        assert!(rec_line.ends_with('\n') && fail_line.ends_with('\n'));
-    }
-
-    #[test]
-    fn flat_json_parser_handles_escapes() {
-        let fields = parse_flat(r#"{"kind":"x","n":42,"s":"a\"b\\c\ndA"}"#).map(Fields);
-        let fields = fields.expect("parses");
-        assert_eq!(fields.num("n"), Some(42));
-        assert_eq!(fields.str("s"), Some("a\"b\\c\ndA"));
-        assert!(parse_flat("{\"unterminated\":\"").is_none());
-        assert!(parse_flat("{\"a\":1} trailing").is_none());
+    fn appended_lines_are_outcome_lines() {
+        // The public wire encoder and the journal's appends must stay
+        // byte-identical: the serving layer streams outcome_line output
+        // while the journal file is written through append.
+        let path = temp_path("wire");
+        let _ = std::fs::remove_file(&path);
+        let rec = PlanOutcome::Record(record(4));
+        let fail = failure(9, "e");
+        {
+            let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
+            journal
+                .append([(4, &rec, Some(2)), (9, &fail, Some(2))])
+                .expect("append");
+        }
+        let written = std::fs::read_to_string(&path).expect("read");
+        let expected = format!(
+            "{}{}{}",
+            encode_header(&header()),
+            outcome_line(4, &rec, Some(2)),
+            outcome_line(9, &fail, None)
+        );
+        assert_eq!(written, expected);
+        std::fs::remove_file(&path).expect("cleanup");
     }
 }

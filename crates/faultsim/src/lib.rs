@@ -14,7 +14,10 @@
 //!   classified into an [`Outcome`];
 //! * [`CampaignResult`] — per-outcome counts, fractions, the margin of
 //!   error of §6.2, and the per-injection records used to build SVM
-//!   training sets.
+//!   training sets;
+//! * [`CampaignRuntime`] — the one plan-stream runtime every campaign
+//!   kind (plain, sectional, incremental, adaptive, daemon job) runs on:
+//!   tagged plans in, journaled outcomes spliced in plan order out.
 //!
 //! # Campaign resilience
 //!
@@ -71,13 +74,12 @@
 
 mod journal;
 pub mod rounds;
+pub mod runtime;
 pub mod sections;
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use ipas_interp::{
@@ -90,10 +92,8 @@ use rand::{Rng, SeedableRng};
 pub use ipas_interp::{
     CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, Ladder, SiteClass,
 };
-pub use journal::{
-    outcome_line, outcome_line_in_section, CampaignJournal, JournalError, JournalHeader,
-    ResumeState,
-};
+pub use journal::{outcome_line, CampaignJournal, JournalError, JournalHeader, ResumeState};
+pub use runtime::CampaignRuntime;
 
 /// The four §5.5 outcome categories of one fault-injection run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -650,7 +650,8 @@ pub struct CampaignResult {
     /// outcome fractions rest on fewer samples than configured.
     pub harness_failures: Vec<HarnessFailure>,
     /// Entries recovered from the checkpoint journal instead of being
-    /// re-executed (0 without a journal or on a fresh campaign).
+    /// re-executed (0 without a journal or on a fresh campaign). Cached
+    /// outcomes an incremental campaign prefilled are not counted.
     pub resumed: usize,
     /// Nominal (clean) dynamic instruction count of the workload.
     pub nominal_insts: u64,
@@ -1130,135 +1131,10 @@ pub fn run_campaign_with(
     // campaign draws the identical plan list and simply skips the
     // journaled indices.
     let plans = draw_plans(workload, config, options.sampling)?;
-
-    let (journal, resume) = match &options.journal {
-        Some(path) => {
-            let header = JournalHeader {
-                workload: workload.name.clone(),
-                entry: workload.entry.clone(),
-                seed: config.seed,
-                runs: config.runs,
-                sampling: options.sampling,
-                fault_model: config.fault_model,
-                eligible_results: workload.eligible_results,
-                nominal_insts: workload.nominal_insts,
-                round_runs: None,
-            };
-            let (journal, resume) = CampaignJournal::open(path, &header)?;
-            (Some(journal), resume)
-        }
-        None => (None, ResumeState::default()),
-    };
-    let resumed = resume.len();
-
-    let slots: Vec<Mutex<Option<PlanOutcome>>> =
-        (0..plans.len()).map(|_| Mutex::new(None)).collect();
-    let ResumeState {
-        records,
-        failures,
-        sections: _,
-    } = resume;
-    for (i, record) in records {
-        *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Record(record));
-    }
-    for (i, failure) in failures {
-        *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Failure(failure));
-    }
-    let pending: Vec<usize> = (0..plans.len())
-        .filter(|i| lock_ignoring_poison(&slots[*i]).is_none())
-        .collect();
-
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let journal_error: Mutex<Option<JournalError>> = Mutex::new(None);
-
-    // One lowering (and ladder) for the whole campaign; worker threads
-    // share it and each run a private resettable machine against it.
-    let compiled = CompiledCampaign::prepare(
-        workload,
-        config.engine,
-        options,
-        pending.iter().map(|&i| plans[i]),
-    );
-    let checkpoints = Mutex::new(CompiledCampaign::stats_of(compiled.as_ref()));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut executor =
-                    PlanExecutor::new(workload, config.seed, options, compiled.as_ref());
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let i = pending[n];
-                    let slot = executor.execute(i, plans[i]);
-                    if let Some(journal) = &journal {
-                        let written = match &slot {
-                            PlanOutcome::Record(record) => journal.append_record(i, record),
-                            PlanOutcome::Failure(failure) => journal.append_failure(failure),
-                        };
-                        if let Err(e) = written {
-                            // Losing the checkpoint makes further work
-                            // unresumable; stop the campaign instead of
-                            // silently continuing without it.
-                            lock_ignoring_poison(&journal_error).get_or_insert(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    *lock_ignoring_poison(&slots[i]) = Some(slot);
-                }
-                *lock_ignoring_poison(&checkpoints) += executor.checkpoints();
-            });
-        }
-    });
-
-    if let Some(e) = lock_ignoring_poison(&journal_error).take() {
-        return Err(CampaignError::Journal(e));
-    }
-
-    let mut records = Vec::with_capacity(plans.len());
-    let mut harness_failures = Vec::new();
-    let mut missing = 0usize;
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(PlanOutcome::Record(record)) => records.push(record),
-            Some(PlanOutcome::Failure(failure)) => harness_failures.push(failure),
-            None => missing += 1,
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    harness_failures.sort_by_key(|f| f.plan_index);
-
-    Ok(CampaignResult {
-        records,
-        harness_failures,
-        resumed,
-        nominal_insts: workload.nominal_insts,
-        checkpoints: checkpoints.into_inner().unwrap_or_else(|e| e.into_inner()),
-    })
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock. The holders
-/// in this module only ever replace the value wholesale, so a panic
-/// mid-critical-section cannot leave it torn.
-fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
+    let runtime = CampaignRuntime::open(workload, config, options, None)?;
+    runtime.append(plans.into_iter().map(|plan| (plan, None)));
+    runtime.run_pool()?;
+    runtime.finish()
 }
 
 /// One isolated attempt: run the interpreter and classify the output.

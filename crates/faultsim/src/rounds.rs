@@ -5,36 +5,26 @@
 //! one *round* at a time, because the distribution of round `k+1`
 //! depends on the labels of rounds `0..=k` (the margin-weighted site
 //! distribution of `ipas-core`'s adaptive driver). This module supplies
-//! the two pieces that stay below the training loop:
-//!
-//! * [`draw_uniform_site_plans`] / [`draw_weighted_site_plans`] — one
-//!   round's plans from an *externally owned* RNG, so every draw of the
-//!   campaign still flows from the single seeded plan RNG and the whole
-//!   campaign stays a pure function of `(workload, config, params)`;
-//! * [`execute_round`] — run one round's plans with the full resilient
-//!   runtime, resume-filling from the journal at *global* plan indices
-//!   and checkpointing all fresh outcomes of the round in one ordered
-//!   write tagged with the round id.
+//! the draws that stay below the training loop:
+//! [`draw_uniform_site_plans`] / [`draw_weighted_site_plans`] draw one
+//! round's plans from an *externally owned* RNG, so every draw of the
+//! campaign still flows from the single seeded plan RNG and the whole
+//! campaign stays a pure function of `(workload, config, params)`. Each
+//! round then runs on the [`crate::CampaignRuntime`], appended at the
+//! next *global* plan indices, tagged with its round id, and committed
+//! in one plan-ordered write at the round barrier.
 //!
 //! Determinism contract: the weighted draw rejects degenerate weights
 //! *before* consuming any randomness ([`UniformFallback`]), so the
 //! caller's uniform fallback draws from the identical RNG state — a
 //! resumed campaign that recomputes the same weights takes the same
-//! branch and draws the same plans. The journal write is one ordered
-//! buffer per round, so the journal bytes are independent of thread
-//! count and a crash can only tear the final line.
+//! branch and draws the same plans.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::Rng;
 
-use crate::{
-    lock_ignoring_poison, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions,
-    CheckpointStats, CompiledCampaign, FaultModel, Injection, PlanExecutor, PlanOutcome,
-    ResumeState, SiteCount, Workload,
-};
+use crate::{FaultModel, Injection, SiteCount};
 
 /// Why an adaptive round degraded to uniform site sampling instead of
 /// the margin-weighted distribution. Falling back is not an error — a
@@ -146,128 +136,10 @@ pub fn draw_weighted_site_plans(
         .collect())
 }
 
-/// The outcomes of one executed adaptive round.
-#[derive(Debug)]
-pub struct RoundExecution {
-    /// `(global plan index, outcome)` for every plan of the round, in
-    /// plan order.
-    pub outcomes: Vec<(usize, PlanOutcome)>,
-    /// Plans of this round recovered from the journal instead of being
-    /// re-executed.
-    pub resumed: usize,
-    /// Plans actually executed by this invocation.
-    pub executed: usize,
-    /// What the golden-state ladder saved the executed plans (the
-    /// snapshot fields stay zero: the ladder belongs to the campaign).
-    pub checkpoints: CheckpointStats,
-}
-
-/// Executes one round's plans (global indices `base..base + plans.len()`)
-/// with the resilient runtime of [`crate::run_campaign_with`]: panic
-/// isolation, deterministic retries, the wall-clock watchdog, and
-/// work-shared threads.
-///
-/// Plans already present in `resume` (journaled by a previous
-/// invocation) are filled without re-execution. All *fresh* outcomes
-/// are checkpointed in one ordered write tagged with `round`, so the
-/// journal bytes are identical for any thread count and a kill
-/// mid-round can only tear the final line — the torn-tail shape resume
-/// already tolerates.
-///
-/// # Errors
-///
-/// [`CampaignError::Journal`] when the checkpoint write fails;
-/// [`CampaignError::Incomplete`] when a plan ends up without an outcome
-/// (an internal invariant violation).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_round(
-    workload: &Workload,
-    config: &CampaignConfig,
-    options: &CampaignOptions,
-    compiled: Option<&CompiledCampaign>,
-    journal: Option<&CampaignJournal>,
-    resume: &ResumeState,
-    base: usize,
-    round: u32,
-    plans: &[Injection],
-) -> Result<RoundExecution, CampaignError> {
-    let slots: Vec<Mutex<Option<PlanOutcome>>> =
-        (0..plans.len()).map(|_| Mutex::new(None)).collect();
-    let mut resumed = 0usize;
-    for (j, slot) in slots.iter().enumerate() {
-        let i = base + j;
-        if let Some(record) = resume.records.get(&i) {
-            *lock_ignoring_poison(slot) = Some(PlanOutcome::Record(*record));
-            resumed += 1;
-        } else if let Some(failure) = resume.failures.get(&i) {
-            *lock_ignoring_poison(slot) = Some(PlanOutcome::Failure(failure.clone()));
-            resumed += 1;
-        }
-    }
-    let pending: Vec<usize> = (0..plans.len())
-        .filter(|j| lock_ignoring_poison(&slots[*j]).is_none())
-        .collect();
-    let executed = pending.len();
-
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let next = AtomicUsize::new(0);
-    let checkpoints = Mutex::new(CheckpointStats::default());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut executor = PlanExecutor::new(workload, config.seed, options, compiled);
-                loop {
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let j = pending[n];
-                    let slot = executor.execute(base + j, plans[j]);
-                    *lock_ignoring_poison(&slots[j]) = Some(slot);
-                }
-                *lock_ignoring_poison(&checkpoints) += executor.checkpoints();
-            });
-        }
-    });
-
-    let mut outcomes = Vec::with_capacity(plans.len());
-    let mut fresh = Vec::with_capacity(executed);
-    let mut missing = 0usize;
-    for (j, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(outcome) => {
-                if !resume.contains(base + j) {
-                    fresh.push((base + j, outcome.clone()));
-                }
-                outcomes.push((base + j, outcome));
-            }
-            None => missing += 1,
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    if let Some(journal) = journal {
-        journal.append_outcomes_in_section(&fresh, Some(round))?;
-    }
-    Ok(RoundExecution {
-        outcomes,
-        resumed,
-        executed,
-        checkpoints: checkpoints.into_inner().unwrap_or_else(|e| e.into_inner()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{profile_sites, GoldenToleranceVerifier, JournalHeader, SamplingMode};
+    use crate::{profile_sites, GoldenToleranceVerifier, Workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -323,104 +195,5 @@ mod tests {
             assert_eq!(plan.site, Some(profile[1].0), "all mass on site 1");
             assert!(plan.target < profile[1].1);
         }
-    }
-
-    #[test]
-    fn round_execution_is_thread_invariant_and_resumable() {
-        let w = workload();
-        let profile = profile_sites(&w).expect("profile");
-        let mut rng = StdRng::seed_from_u64(5);
-        let plans = draw_uniform_site_plans(&profile, FaultModel::SingleBit, 12, &mut rng);
-        let options = CampaignOptions::default();
-        let base = 12; // pretend this is round 1 of a 12-plan round size
-        let mut results = Vec::new();
-        for threads in [1usize, 4] {
-            let config = CampaignConfig {
-                runs: 24,
-                seed: 5,
-                threads,
-                ..CampaignConfig::default()
-            };
-            let exec = execute_round(
-                &w,
-                &config,
-                &options,
-                None,
-                None,
-                &ResumeState::default(),
-                base,
-                1,
-                &plans,
-            )
-            .expect("round");
-            assert_eq!(exec.executed, 12);
-            assert_eq!(exec.resumed, 0);
-            assert_eq!(exec.outcomes.len(), 12);
-            assert!(exec.outcomes.iter().map(|(i, _)| *i).eq(base..base + 12));
-            results.push(exec.outcomes);
-        }
-        assert_eq!(results[0], results[1], "thread count is invisible");
-
-        // Journaled outcomes resume at global indices with round tags.
-        let dir = std::env::temp_dir().join("ipas-rounds-tests");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!(
-            "resume-{}-{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let header = JournalHeader {
-            workload: w.name.clone(),
-            entry: w.entry.clone(),
-            seed: 5,
-            runs: 24,
-            sampling: SamplingMode::StaticUniform,
-            fault_model: FaultModel::SingleBit,
-            eligible_results: w.eligible_results,
-            nominal_insts: w.nominal_insts,
-            round_runs: Some(12),
-        };
-        let config = CampaignConfig {
-            runs: 24,
-            seed: 5,
-            threads: 1,
-            ..CampaignConfig::default()
-        };
-        {
-            let (journal, resume) = CampaignJournal::open(&path, &header).expect("fresh");
-            let exec = execute_round(
-                &w,
-                &config,
-                &options,
-                None,
-                Some(&journal),
-                &resume,
-                base,
-                1,
-                &plans,
-            )
-            .expect("journaled round");
-            assert_eq!(exec.executed, 12);
-        }
-        let (journal, resume) = CampaignJournal::open(&path, &header).expect("reopen");
-        assert_eq!(resume.len(), 12);
-        assert!(resume.sections.values().all(|&s| s == 1), "round tags");
-        let exec = execute_round(
-            &w,
-            &config,
-            &options,
-            None,
-            Some(&journal),
-            &resume,
-            base,
-            1,
-            &plans,
-        )
-        .expect("resumed round");
-        assert_eq!(exec.executed, 0, "everything resumes");
-        assert_eq!(exec.resumed, 12);
-        assert_eq!(exec.outcomes, results[0]);
-        std::fs::remove_file(&path).expect("cleanup");
     }
 }

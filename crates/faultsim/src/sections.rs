@@ -15,29 +15,25 @@
 //!    plans are resolved through the clean run's run-length-encoded
 //!    eligible trace ([`eligible_trace`]), whose prefix sums map any
 //!    global eligible index back to its static site;
-//! 3. the selected sections' plans execute on [`crate::PlanExecutor`]s
-//!    — whose outcomes are invariant to chunking — and splice back into
-//!    a [`CampaignResult`] by plan index.
+//! 3. the plans, each tagged with its section id, execute on the
+//!    [`CampaignRuntime`] — whose outcomes are invariant to scheduling
+//!    — and splice back into a [`CampaignResult`] by plan index.
 //!
 //! Because every plan is executed identically and merely *grouped*
 //! differently, the composed result is byte-identical to the monolithic
 //! one by construction (the `composition` integration test pins this
 //! for every paper workload on both engines). The grouping is what
 //! makes incremental re-analysis possible: a cached section whose
-//! fingerprint and plan slice are unchanged can be spliced in without
-//! re-executing it (see `ipas-core`'s incremental driver).
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! fingerprint and plan slice are unchanged can be prefilled instead of
+//! re-executed (see `ipas-core`'s incremental driver).
 
 use ipas_analysis::sections::SectionPartition;
 use ipas_interp::{Machine, RunConfig, RunStatus};
 use ipas_ir::{FuncId, InstId};
 
 use crate::{
-    draw_plans, lock_ignoring_poison, profile_sites, CampaignConfig, CampaignError,
-    CampaignJournal, CampaignOptions, CampaignResult, CheckpointStats, CompiledCampaign, Injection,
-    JournalHeader, PlanExecutor, PlanOutcome, ResumeState, SiteCount, Workload,
+    draw_plans, profile_sites, CampaignConfig, CampaignError, CampaignOptions, CampaignResult,
+    CampaignRuntime, Injection, SiteCount, Workload,
 };
 
 /// Runs the workload once cleanly and returns the run-length-encoded
@@ -180,218 +176,6 @@ pub fn section_sites(
     Ok(per)
 }
 
-/// The outcomes of a (possibly partial) section-granular execution.
-#[derive(Debug)]
-pub struct SectionExecution {
-    /// `(plan index, outcome)` for every plan of a selected section, in
-    /// plan order.
-    pub outcomes: Vec<(usize, PlanOutcome)>,
-    /// Selected plans recovered from the checkpoint journal instead of
-    /// being re-executed.
-    pub resumed: usize,
-    /// Selected plans actually (re-)executed by this invocation.
-    pub executed: usize,
-    /// What the golden-state ladder saved the executed plans.
-    pub checkpoints: CheckpointStats,
-}
-
-/// Executes the plans of every section whose `run_mask` entry is true,
-/// with the full resilient runtime of [`crate::run_campaign_with`]
-/// (panic isolation, retries, watchdog, journaling — records are
-/// journaled with their section tag). Plans of unselected sections are
-/// not touched; the caller splices their cached outcomes instead.
-///
-/// # Errors
-///
-/// [`CampaignError::Journal`] on checkpoint failures;
-/// [`CampaignError::Incomplete`] when a selected plan ends up without
-/// an outcome (an internal invariant violation).
-pub fn execute_sections(
-    workload: &Workload,
-    config: &CampaignConfig,
-    options: &CampaignOptions,
-    plans: &[Injection],
-    assignment: &[u32],
-    run_mask: &[bool],
-) -> Result<SectionExecution, CampaignError> {
-    assert_eq!(plans.len(), assignment.len(), "assignment is per plan");
-    let selected: Vec<usize> = (0..plans.len())
-        .filter(|&i| {
-            run_mask
-                .get(assignment[i] as usize)
-                .copied()
-                .unwrap_or(false)
-        })
-        .collect();
-
-    let (journal, resume) = match &options.journal {
-        Some(path) => {
-            let header = JournalHeader {
-                workload: workload.name.clone(),
-                entry: workload.entry.clone(),
-                seed: config.seed,
-                runs: config.runs,
-                sampling: options.sampling,
-                fault_model: config.fault_model,
-                eligible_results: workload.eligible_results,
-                nominal_insts: workload.nominal_insts,
-                round_runs: None,
-            };
-            let (journal, resume) = CampaignJournal::open(path, &header)?;
-            (Some(journal), resume)
-        }
-        None => (None, ResumeState::default()),
-    };
-
-    let slots: Vec<Mutex<Option<PlanOutcome>>> =
-        (0..plans.len()).map(|_| Mutex::new(None)).collect();
-    let mut resumed = 0usize;
-    for &i in &selected {
-        if let Some(record) = resume.records.get(&i) {
-            *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Record(*record));
-            resumed += 1;
-        } else if let Some(failure) = resume.failures.get(&i) {
-            *lock_ignoring_poison(&slots[i]) = Some(PlanOutcome::Failure(failure.clone()));
-            resumed += 1;
-        }
-    }
-    let pending: Vec<usize> = selected
-        .iter()
-        .copied()
-        .filter(|i| lock_ignoring_poison(&slots[*i]).is_none())
-        .collect();
-    let executed = pending.len();
-
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let journal_error: Mutex<Option<crate::JournalError>> = Mutex::new(None);
-    let compiled = CompiledCampaign::prepare(
-        workload,
-        config.engine,
-        options,
-        pending.iter().map(|&i| plans[i]),
-    );
-    let checkpoints = Mutex::new(CompiledCampaign::stats_of(compiled.as_ref()));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut executor =
-                    PlanExecutor::new(workload, config.seed, options, compiled.as_ref());
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let i = pending[n];
-                    let slot = executor.execute(i, plans[i]);
-                    if let Some(journal) = &journal {
-                        let written = match &slot {
-                            PlanOutcome::Record(record) => {
-                                journal.append_record_in_section(i, record, assignment[i])
-                            }
-                            PlanOutcome::Failure(failure) => journal.append_failure(failure),
-                        };
-                        if let Err(e) = written {
-                            lock_ignoring_poison(&journal_error).get_or_insert(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    *lock_ignoring_poison(&slots[i]) = Some(slot);
-                }
-                *lock_ignoring_poison(&checkpoints) += executor.checkpoints();
-            });
-        }
-    });
-
-    if let Some(e) = lock_ignoring_poison(&journal_error).take() {
-        return Err(CampaignError::Journal(e));
-    }
-
-    let mut outcomes = Vec::with_capacity(selected.len());
-    let mut missing = 0usize;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(outcome) => outcomes.push((i, outcome)),
-            None => {
-                if selected.binary_search(&i).is_ok() {
-                    missing += 1;
-                }
-            }
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    Ok(SectionExecution {
-        outcomes,
-        resumed,
-        executed,
-        checkpoints: checkpoints.into_inner().unwrap_or_else(|e| e.into_inner()),
-    })
-}
-
-/// Splices per-section outcome slices back into a whole-campaign
-/// [`CampaignResult`]: every plan index in `0..runs` must appear
-/// exactly once across `outcomes` (from any mix of fresh execution and
-/// cached section profiles).
-///
-/// # Errors
-///
-/// [`CampaignError::Composition`] on an out-of-range or duplicate plan
-/// index; [`CampaignError::Incomplete`] when plans are missing.
-pub fn splice_outcomes(
-    runs: usize,
-    outcomes: impl IntoIterator<Item = (usize, PlanOutcome)>,
-    resumed: usize,
-    nominal_insts: u64,
-) -> Result<CampaignResult, CampaignError> {
-    let mut slots: Vec<Option<PlanOutcome>> = (0..runs).map(|_| None).collect();
-    for (i, outcome) in outcomes {
-        let slot = slots.get_mut(i).ok_or_else(|| CampaignError::Composition {
-            message: format!("plan index {i} out of range for {runs} runs"),
-        })?;
-        if slot.is_some() {
-            return Err(CampaignError::Composition {
-                message: format!("plan index {i} was spliced twice"),
-            });
-        }
-        *slot = Some(outcome);
-    }
-    let mut records = Vec::with_capacity(runs);
-    let mut harness_failures = Vec::new();
-    let mut missing = 0usize;
-    for slot in slots {
-        match slot {
-            Some(PlanOutcome::Record(record)) => records.push(record),
-            Some(PlanOutcome::Failure(failure)) => harness_failures.push(failure),
-            None => missing += 1,
-        }
-    }
-    if missing > 0 {
-        return Err(CampaignError::Incomplete { missing });
-    }
-    harness_failures.sort_by_key(|f| f.plan_index);
-    Ok(CampaignResult {
-        records,
-        harness_failures,
-        resumed,
-        nominal_insts,
-        checkpoints: CheckpointStats::default(),
-    })
-}
-
 /// A completed section-granular campaign: the partition it ran under,
 /// the per-plan section assignment, and the spliced whole-campaign
 /// result (byte-identical to the monolithic [`crate::run_campaign_with`]
@@ -414,12 +198,12 @@ impl SectionalCampaign {
 }
 
 /// Runs a campaign section by section: partition, draw the classic
-/// plan list, assign plans to sections, execute every section, splice.
+/// plan list, tag each plan with its section, execute, splice.
 ///
 /// # Errors
 ///
-/// The union of [`crate::draw_plans`], [`assign_sections`],
-/// [`execute_sections`], and [`splice_outcomes`] errors.
+/// The union of [`crate::draw_plans`], [`assign_sections`] and
+/// [`CampaignRuntime`] errors.
 pub fn run_campaign_sectional(
     workload: &Workload,
     config: &CampaignConfig,
@@ -428,19 +212,13 @@ pub fn run_campaign_sectional(
     let partition = SectionPartition::compute(&workload.module);
     let plans = draw_plans(workload, config, options.sampling)?;
     let assignment = assign_sections(workload, &partition, &plans)?;
-    let mask = vec![true; partition.len()];
-    let exec = execute_sections(workload, config, options, &plans, &assignment, &mask)?;
-    let mut result = splice_outcomes(
-        plans.len(),
-        exec.outcomes,
-        exec.resumed,
-        workload.nominal_insts,
-    )?;
-    result.checkpoints = exec.checkpoints;
+    let runtime = CampaignRuntime::open(workload, config, options, None)?;
+    runtime.append(plans.into_iter().zip(assignment.iter().map(|&s| Some(s))));
+    runtime.run_pool()?;
     Ok(SectionalCampaign {
         partition,
         assignment,
-        result,
+        result: runtime.finish()?,
     })
 }
 
@@ -520,37 +298,6 @@ mod tests {
         let classic = run_campaign_with(&w, &config, &options).expect("classic");
         let sectional = run_campaign_sectional(&w, &config, &options).expect("sectional");
         assert_eq!(sectional.result.records, classic.records);
-    }
-
-    #[test]
-    fn masked_execution_runs_only_selected_sections() {
-        let w = workload();
-        let config = CampaignConfig {
-            runs: 32,
-            seed: 3,
-            threads: 1,
-            ..CampaignConfig::default()
-        };
-        let options = CampaignOptions::default();
-        let partition = SectionPartition::compute(&w.module);
-        let plans = draw_plans(&w, &config, options.sampling).expect("plans");
-        let assignment = assign_sections(&w, &partition, &plans).expect("assign");
-        let chosen = assignment[0];
-        let mut mask = vec![false; partition.len()];
-        mask[chosen as usize] = true;
-        let exec =
-            execute_sections(&w, &config, &options, &plans, &assignment, &mask).expect("exec");
-        let expected = assignment.iter().filter(|&&s| s == chosen).count();
-        assert_eq!(exec.executed, expected);
-        assert_eq!(exec.outcomes.len(), expected);
-        assert!(exec.outcomes.iter().all(|(i, _)| assignment[*i] == chosen));
-        // Splicing a partial execution is an explicit incompleteness.
-        match splice_outcomes(plans.len(), exec.outcomes, 0, w.nominal_insts) {
-            Err(CampaignError::Incomplete { missing }) => {
-                assert_eq!(missing, plans.len() - expected);
-            }
-            other => panic!("expected Incomplete, got {other:?}"),
-        }
     }
 
     #[test]

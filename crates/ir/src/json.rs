@@ -1,17 +1,25 @@
-//! Flat JSON lines: the workspace's shared line-oriented wire codec.
+//! Flat JSON lines: the workspace's one line-oriented wire codec.
 //!
 //! One object per line, string and unsigned-integer fields only, a
-//! `kind` discriminator first. The campaign journal pioneered the
-//! format; job specifications and the serving protocol reuse it so a
-//! checkpointed job file, a wire request, and a journal line all parse
-//! with the same ~100 lines of dependency-free code and are greppable
-//! with standard tools.
+//! `kind` discriminator first. The campaign journal, job
+//! specifications, the serving protocol and the pass manager's stats
+//! report all encode with it, so a checkpointed job file, a wire
+//! request, and a journal line parse with the same ~100 lines of
+//! dependency-free code and are greppable with standard tools. It lives
+//! in `ipas-ir` because that is the one crate every user already
+//! depends on.
 //!
 //! Floats ride as their IEEE-754 bit patterns via [`LineBuilder::f64`]
 //! / [`Fields::f64`], so values round-trip bit-exactly (the same rule
 //! the artifact envelope uses).
 
-/// Escapes `s` into `out` as JSON string contents (no quotes).
+/// Escapes `s` as JSON string contents (no surrounding quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
 fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -29,7 +37,7 @@ fn escape_into(out: &mut String, s: &str) {
 /// Builds one flat JSON line field by field.
 ///
 /// ```
-/// use ipas_store::json::LineBuilder;
+/// use ipas_ir::json::LineBuilder;
 /// let line = LineBuilder::new("submit").num("runs", 64).str("name", "mm").finish();
 /// assert_eq!(line, "{\"kind\":\"submit\",\"runs\":64,\"name\":\"mm\"}\n");
 /// ```
@@ -219,6 +227,14 @@ mod tests {
         assert_eq!(fields.f64("tol"), Some(1e-9));
         assert_eq!(fields.num("name"), None, "type confusion is a miss");
         assert_eq!(fields.str("runs"), None);
+    }
+
+    #[test]
+    fn parses_escapes() {
+        let fields = Fields::parse(r#"{"kind":"x","n":42,"s":"a\"b\\c\ndA"}"#).expect("parses");
+        assert_eq!(fields.num("n"), Some(42));
+        assert_eq!(fields.str("s"), Some("a\"b\\c\ndA"));
+        assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`dom`] — dominator tree and dominance frontiers.
 //! * [`passes`] — mem2reg (SSA construction), constant folding, and dead
 //!   code elimination.
+//! * [`json`] — the flat JSON-lines codec shared by the journal, job
+//!   files, the serving protocol and pass statistics.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ pub mod builder;
 pub mod dom;
 pub mod function;
 pub mod inst;
+pub mod json;
 pub mod module;
 pub mod parser;
 pub mod passes;

@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use crate::dom::DomTree;
 use crate::function::Function;
+use crate::json;
 use crate::module::{FuncId, Module};
 use crate::passmgr::{create_pass, AnalysisManager, ModulePass, Pass, PipelineItem, PipelineSpec};
 use crate::verify::{verify_function_with, verify_module, VerifyError};
@@ -161,7 +162,7 @@ impl PipelineStats {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"pipeline\": \"{}\",", escape_json(pipeline));
+        let _ = writeln!(out, "  \"pipeline\": \"{}\",", json::escape(pipeline));
         let _ = writeln!(out, "  \"executions\": {},", self.executions);
         let _ = writeln!(out, "  \"skipped\": {},", self.skipped);
         out.push_str("  \"passes\": [\n");
@@ -170,7 +171,7 @@ impl PipelineStats {
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"runs\": {}, \"changed_runs\": {}, \"wall_us\": {}, \"counters\": {{",
-                escape_json(name),
+                json::escape(name),
                 stat.runs,
                 stat.changed_runs,
                 stat.wall_nanos / 1_000
@@ -179,7 +180,7 @@ impl PipelineStats {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\": {}", escape_json(cname), v);
+                let _ = write!(out, "\"{}\": {}", json::escape(cname), v);
             }
             out.push_str("}}");
             out.push_str(if i + 1 == total { "\n" } else { ",\n" });
@@ -187,17 +188,6 @@ impl PipelineStats {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// One pass application, in execution order. The bisector replays a

@@ -10,16 +10,19 @@
 //! three task shapes on the scheduler:
 //!
 //! 1. **prepare** — compile the source, build the workload, pre-draw
-//!    the full injection plan list, open the campaign journal (resuming
-//!    completed plan indices from a previous daemon process), and split
-//!    the pending indices into chunks distributed across shards;
-//! 2. **chunk** — execute a slice of plans on a private
-//!    [`PlanExecutor`], append the outcomes to the journal in one
-//!    atomic-at-EOF write, and stream them to subscribers;
-//! 3. **finalize** — assemble the [`ipas_faultsim::CampaignResult`]
-//!    in plan order (chunk scheduling is invisible: plans were
-//!    pre-drawn from one seeded RNG), build the job's artifact, store
-//!    it, and emit the terminal `result` event.
+//!    the full injection plan list (tagged with section ids for
+//!    sectional jobs), open the job's [`CampaignRuntime`] (resuming
+//!    completed plan indices from a previous daemon process's journal),
+//!    and split the pending indices into chunks distributed across
+//!    shards;
+//! 2. **chunk** — execute a slice of plans with
+//!    [`CampaignRuntime::run_chunk`], which journals the outcomes in
+//!    one atomic-at-EOF write, each record with its own plan's tag, and
+//!    stream them to subscribers;
+//! 3. **finalize** — splice the [`ipas_faultsim::CampaignResult`] in
+//!    plan order (chunk scheduling is invisible: plans were pre-drawn
+//!    from one seeded RNG), build the job's artifact, store it, and
+//!    emit the terminal `result` event.
 //!
 //! # Restart-resume
 //!
@@ -57,9 +60,7 @@ use ipas_core::policy::ProtectionPolicy;
 use ipas_core::training::LabelKind;
 use ipas_faultsim::sections::assign_sections;
 use ipas_faultsim::{
-    draw_plans, outcome_line_in_section, CampaignConfig, CampaignJournal, CampaignOptions,
-    CampaignResult, CheckpointStats, CompiledCampaign, Injection, InjectionRecord, JournalHeader,
-    Outcome, PlanExecutor, PlanOutcome, ResumeState, Workload,
+    draw_plans, outcome_line, CampaignConfig, CampaignResult, CampaignRuntime, Outcome, Workload,
 };
 use ipas_store::{
     ArtifactKind, CampaignSummary, Fingerprint, Key, ProtectedModule, SingleFlight, Store,
@@ -145,32 +146,14 @@ fn install_signal_handlers() {
 /// Everything chunk tasks of one running job share.
 struct RunCtx {
     job: Arc<Job>,
-    workload: Workload,
-    compiled: Option<CompiledCampaign>,
-    /// Ladder size plus every executed chunk's skipped instructions.
-    checkpoints: Mutex<CheckpointStats>,
-    /// Every plan drawn so far. Classic jobs draw the full list during
-    /// prepare; adaptive jobs ([`JobSpec::adaptive`]) grow it round by
-    /// round, so reads go through the lock.
-    plans: Mutex<Vec<Injection>>,
-    /// Section id per plan for sectional jobs ([`JobSpec::sections`]):
-    /// chunks then align to section boundaries and journal records
-    /// carry section tags.
-    assignment: Option<Vec<u32>>,
+    /// The job's plan stream: plans, tags, journal, outcomes. Classic
+    /// jobs append the full plan list during prepare; adaptive jobs
+    /// ([`JobSpec::adaptive`]) append one round at a time.
+    runtime: CampaignRuntime<Workload>,
     /// The round planner for adaptive jobs: between rounds it retrains
     /// on the labels so far and draws the next margin-weighted round.
     adaptive: Option<Mutex<AdaptiveDriver>>,
-    /// Round size for adaptive jobs; plan `i` belongs to round
-    /// `i / round_runs` (only the final round can be short).
-    round_runs: Option<usize>,
-    /// One slot per *possible* plan (`config.runs`); adaptive jobs that
-    /// stop early leave the tail untouched and finalize over
-    /// `plans.len()` only.
-    slots: Vec<Mutex<Option<PlanOutcome>>>,
-    journal: CampaignJournal,
     remaining_chunks: AtomicUsize,
-    config: CampaignConfig,
-    options: CampaignOptions,
 }
 
 struct Daemon {
@@ -338,8 +321,7 @@ impl Daemon {
             return;
         }
         match self.prepare_ctx(&job) {
-            Ok(ctx) if ctx.adaptive.is_some() => self.advance_round(ctx),
-            Ok(ctx) => self.dispatch_chunks(ctx),
+            Ok(ctx) => self.advance(ctx),
             Err(reason) => self.fail(&job, reason),
         }
     }
@@ -377,264 +359,126 @@ impl Daemon {
         };
         let config = spec.campaign_config();
         let mut options = spec.campaign_options();
-        let journal_path = self.journal_path(&job.id);
-        options.journal = Some(journal_path.clone());
+        options.journal = Some(self.journal_path(&job.id));
         // Adaptive jobs draw nothing up front: the driver draws round
-        // by round as labels accumulate (see `advance_round`).
-        let adaptive = if spec.adaptive {
+        // by round as labels accumulate (see `advance`).
+        let (adaptive, plans) = if spec.adaptive {
             let params = AdaptiveParams::for_budget(config.runs);
-            Some(
-                AdaptiveDriver::new(&workload, &config, params)
-                    .map_err(|e| format!("adaptive setup failed: {e}"))?,
-            )
+            let driver = AdaptiveDriver::new(&workload, &config, params)
+                .map_err(|e| format!("adaptive setup failed: {e}"))?;
+            (Some(driver), Vec::new())
         } else {
-            None
+            let plans = draw_plans(&workload, &config, options.sampling)
+                .map_err(|e| format!("plan drawing failed: {e}"))?;
+            (None, plans)
+        };
+        let tags: Vec<Option<u32>> = if spec.sections {
+            let partition = SectionPartition::compute(&workload.module);
+            assign_sections(&workload, &partition, &plans)
+                .map_err(|e| format!("section assignment failed: {e}"))?
+                .into_iter()
+                .map(Some)
+                .collect()
+        } else {
+            vec![None; plans.len()]
         };
         let round_runs = adaptive.as_ref().map(|d| d.params().round_runs);
-        let plans = if spec.adaptive {
-            Vec::new()
-        } else {
-            draw_plans(&workload, &config, options.sampling)
-                .map_err(|e| format!("plan drawing failed: {e}"))?
-        };
-        let assignment = if spec.sections {
-            let partition = SectionPartition::compute(&workload.module);
-            Some(
-                assign_sections(&workload, &partition, &plans)
-                    .map_err(|e| format!("section assignment failed: {e}"))?,
-            )
-        } else {
-            None
-        };
-        let header = JournalHeader {
-            workload: workload.name.clone(),
-            entry: workload.entry.clone(),
-            seed: config.seed,
-            runs: config.runs,
-            sampling: options.sampling,
-            fault_model: config.fault_model,
-            eligible_results: workload.eligible_results,
-            nominal_insts: workload.nominal_insts,
-            round_runs,
-        };
-        let (journal, resume) = CampaignJournal::open(&journal_path, &header)
-            .map_err(|e| format!("journal failed: {e}"))?;
-        // Adaptive slots cover the whole budget; rounds fill a prefix.
-        let slot_count = if spec.adaptive {
-            config.runs
-        } else {
-            plans.len()
-        };
-        let slots: Vec<Mutex<Option<PlanOutcome>>> =
-            (0..slot_count).map(|_| Mutex::new(None)).collect();
-        let ResumeState {
-            records,
-            failures,
-            sections: _,
-        } = resume;
-        let resumed = records.len() + failures.len();
-        for (i, record) in records {
-            *lock(&slots[i]) = Some(PlanOutcome::Record(record));
-        }
-        for (i, failure) in failures {
-            *lock(&slots[i]) = Some(PlanOutcome::Failure(failure));
-        }
-        let compiled = CompiledCampaign::prepare(
-            &workload,
-            config.engine,
-            &options,
-            plans
-                .iter()
-                .zip(&slots)
-                .filter(|(_, slot)| lock(slot).is_none())
-                .map(|(plan, _)| *plan),
-        );
-        let checkpoints = Mutex::new(CompiledCampaign::stats_of(compiled.as_ref()));
+        let runtime = CampaignRuntime::open(workload, &config, &options, round_runs)
+            .map_err(|e| e.to_string())?;
+        let total = runtime.append(plans.into_iter().zip(tags)).len();
+        // Lower the module (and capture the ladder) in this task, so the
+        // job's chunks never wait on one another for it.
+        runtime.prepare();
+        let resumed = runtime.resumed();
         job.update(|p| {
             p.state = JobState::Running;
-            p.total = plans.len();
+            p.total = total;
             p.resumed = resumed;
         });
-        job.events
-            .push(proto::progress_event(0, plans.len(), resumed));
+        job.events.push(proto::progress_event(0, total, resumed));
         Ok(Arc::new(RunCtx {
             job: Arc::clone(job),
-            workload,
-            compiled,
-            checkpoints,
-            plans: Mutex::new(plans),
-            assignment,
+            runtime,
             adaptive: adaptive.map(Mutex::new),
-            round_runs,
-            slots,
-            journal,
             remaining_chunks: AtomicUsize::new(0),
-            config,
-            options,
         }))
     }
 
-    /// Adaptive task: retrains on every label collected so far, draws
-    /// the next margin-weighted round, and dispatches its chunks — or
-    /// hands off to finalize when the driver stops (entropy stability
-    /// or budget). Fully journal-resumed rounds are replayed inline
-    /// without touching the scheduler.
-    fn advance_round(self: Arc<Daemon>, ctx: Arc<RunCtx>) {
-        let Some(driver) = &ctx.adaptive else {
-            let daemon = Arc::clone(&self);
-            self.scheduler.submit(move || daemon.finalize(ctx));
-            return;
-        };
-        loop {
-            if ctx.job.canceled() {
-                let daemon = Arc::clone(&self);
-                self.scheduler.submit(move || daemon.finalize(ctx));
-                return;
-            }
-            let base = lock(&ctx.plans).len();
-            let labeled: Vec<(usize, InjectionRecord)> = (0..base)
-                .filter_map(|i| match *lock(&ctx.slots[i]) {
-                    Some(PlanOutcome::Record(record)) => Some((i, record)),
-                    _ => None,
-                })
-                .collect();
-            let next = lock(driver).next_round(&labeled);
-            let Some((_round, _sampling, round_plans)) = next else {
-                let daemon = Arc::clone(&self);
-                self.scheduler.submit(move || daemon.finalize(ctx));
-                return;
-            };
-            let drawn = base + round_plans.len();
-            lock(&ctx.plans).extend(round_plans);
-            ctx.job.update(|p| p.total = drawn);
-            let pending: Vec<usize> = (base..drawn)
-                .filter(|i| lock(&ctx.slots[*i]).is_none())
-                .collect();
-            if pending.is_empty() {
-                // The whole round was resumed from the journal; replay
-                // the next draw against the now-complete labels.
-                continue;
-            }
-            // Chunks stay inside the round, so every journal write of a
-            // chunk shares one round tag.
-            let chunk_size = self.config.chunk.max(1);
-            let chunks: Vec<Vec<usize>> = pending.chunks(chunk_size).map(|c| c.to_vec()).collect();
-            ctx.remaining_chunks.store(chunks.len(), Ordering::SeqCst);
-            for (i, chunk) in chunks.into_iter().enumerate() {
-                let daemon = Arc::clone(&self);
-                let ctx = Arc::clone(&ctx);
-                self.scheduler
-                    .submit_to(i, move || daemon.run_chunk(ctx, chunk));
-            }
-            return;
-        }
-    }
-
-    fn dispatch_chunks(self: Arc<Daemon>, ctx: Arc<RunCtx>) {
-        let drawn = lock(&ctx.plans).len();
-        let pending: Vec<usize> = (0..drawn)
-            .filter(|i| lock(&ctx.slots[*i]).is_none())
-            .collect();
-        if pending.is_empty() {
-            let daemon = Arc::clone(&self);
-            self.scheduler.submit(move || daemon.finalize(ctx));
-            return;
-        }
-        let chunk_size = self.config.chunk.max(1);
-        let chunks: Vec<Vec<usize>> = match &ctx.assignment {
-            // Sectional jobs: a stealable chunk never crosses a section
-            // boundary, so every journal write of a chunk shares one
-            // section tag and per-section progress is a chunk count.
-            // Oversized sections still split at the configured size.
-            Some(assignment) => {
-                let sections = assignment
-                    .iter()
-                    .map(|&s| s as usize + 1)
-                    .max()
-                    .unwrap_or(0);
-                let mut by_section: Vec<Vec<usize>> = vec![Vec::new(); sections];
-                for &i in &pending {
-                    by_section[assignment[i] as usize].push(i);
+    /// Dispatches the job's pending plans as stealable chunks. When
+    /// nothing is pending, an adaptive job retrains on every label so
+    /// far and draws its next round (fully journal-resumed rounds are
+    /// replayed inline without touching the scheduler); otherwise — or
+    /// when the driver stops, or the job was canceled — it hands off to
+    /// finalize.
+    fn advance(self: Arc<Daemon>, ctx: Arc<RunCtx>) {
+        while !ctx.job.canceled() {
+            let pending = ctx.runtime.pending();
+            if !pending.is_empty() {
+                let chunks: Vec<Vec<usize>> = pending
+                    .chunks(self.config.chunk.max(1))
+                    .map(<[usize]>::to_vec)
+                    .collect();
+                ctx.remaining_chunks.store(chunks.len(), Ordering::SeqCst);
+                // Block-distribute across shards so every worker has
+                // stealable pieces of this job from the start.
+                for (i, chunk) in chunks.into_iter().enumerate() {
+                    let daemon = Arc::clone(&self);
+                    let ctx = Arc::clone(&ctx);
+                    self.scheduler
+                        .submit_to(i, move || daemon.run_chunk(ctx, chunk));
                 }
-                by_section
-                    .iter()
-                    .flat_map(|sec| sec.chunks(chunk_size))
-                    .map(|c| c.to_vec())
-                    .collect()
+                return;
             }
-            None => pending.chunks(chunk_size).map(|c| c.to_vec()).collect(),
-        };
-        ctx.remaining_chunks.store(chunks.len(), Ordering::SeqCst);
-        // Block-distribute across shards so every worker has stealable
-        // pieces of this job from the start.
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let daemon = Arc::clone(&self);
-            let ctx = Arc::clone(&ctx);
-            self.scheduler
-                .submit_to(i, move || daemon.run_chunk(ctx, chunk));
+            let Some(driver) = &ctx.adaptive else { break };
+            let next = lock(driver).next_round(&ctx.runtime.records());
+            let Some((round, _sampling, plans)) = next else {
+                break;
+            };
+            let drawn = ctx
+                .runtime
+                .append(plans.into_iter().map(|plan| (plan, Some(round))));
+            let resumed = ctx.runtime.resumed();
+            ctx.job.update(|p| {
+                p.total = drawn.end;
+                p.resumed = resumed;
+            });
         }
+        let daemon = Arc::clone(&self);
+        self.scheduler.submit(move || daemon.finalize(ctx));
     }
 
     /// Task 2: execute one stealable chunk of plan indices.
     fn run_chunk(self: Arc<Daemon>, ctx: Arc<RunCtx>, chunk: Vec<usize>) {
         if !ctx.job.canceled() {
-            let mut executor = PlanExecutor::new(
-                &ctx.workload,
-                ctx.config.seed,
-                &ctx.options,
-                ctx.compiled.as_ref(),
-            );
-            let chunk_plans: Vec<Injection> = {
-                let plans = lock(&ctx.plans);
-                chunk.iter().map(|&i| plans[i]).collect()
-            };
-            let outcomes: Vec<(usize, PlanOutcome)> = chunk
-                .iter()
-                .zip(&chunk_plans)
-                .map(|(&i, &plan)| (i, executor.execute(i, plan)))
-                .collect();
-            *lock(&ctx.checkpoints) += executor.checkpoints();
-            // Chunks of sectional jobs are section-aligned and chunks
-            // of adaptive jobs round-aligned, so one tag covers the
-            // whole write.
-            let section = match (&ctx.assignment, ctx.round_runs) {
-                (Some(assignment), _) => Some(assignment[chunk[0]]),
-                (None, Some(round_runs)) => Some((chunk[0] / round_runs) as u32),
-                (None, None) => None,
-            };
-            // One write per chunk: a torn write can only tear the final
-            // line, which journal resume tolerates.
-            if let Err(e) = ctx.journal.append_outcomes_in_section(&outcomes, section) {
-                ctx.job.update(|p| {
-                    p.error
-                        .get_or_insert_with(|| format!("journal write failed: {e}"));
-                });
-                ctx.job.request_cancel();
-            } else {
-                for (i, outcome) in outcomes {
+            match ctx.runtime.run_chunk(&chunk) {
+                Err(e) => {
+                    ctx.job.update(|p| {
+                        p.error
+                            .get_or_insert_with(|| format!("journal write failed: {e}"));
+                    });
+                    ctx.job.request_cancel();
+                }
+                Ok(outcomes) => {
+                    for (i, outcome) in &outcomes {
+                        ctx.job
+                            .events
+                            .push(outcome_line(*i, outcome, ctx.runtime.tag(*i)));
+                    }
+                    self.executed_runs
+                        .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+                    let progress = ctx.job.update(|p| {
+                        p.executed += chunk.len();
+                        (p.executed, p.total, p.resumed)
+                    });
                     ctx.job
                         .events
-                        .push(outcome_line_in_section(i, &outcome, section));
-                    *lock(&ctx.slots[i]) = Some(outcome);
+                        .push(proto::progress_event(progress.0, progress.1, progress.2));
                 }
-                self.executed_runs
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                let progress = ctx.job.update(|p| {
-                    p.executed += chunk.len();
-                    (p.executed, p.total, p.resumed)
-                });
-                ctx.job
-                    .events
-                    .push(proto::progress_event(progress.0, progress.1, progress.2));
             }
         }
         if ctx.remaining_chunks.fetch_sub(1, Ordering::AcqRel) == 1 {
             let daemon = Arc::clone(&self);
-            if ctx.adaptive.is_some() {
-                self.scheduler.submit(move || daemon.advance_round(ctx));
-            } else {
-                self.scheduler.submit(move || daemon.finalize(ctx));
-            }
+            self.scheduler.submit(move || daemon.advance(ctx));
         }
     }
 
@@ -650,33 +494,12 @@ impl Daemon {
             }
             return;
         }
-        // Adaptive jobs that stop early drew fewer plans than the
-        // budget-sized slot vector; only drawn plans count.
-        let drawn = lock(&ctx.plans).len();
-        let mut records = Vec::with_capacity(drawn);
-        let mut harness_failures = Vec::new();
-        let mut missing = 0usize;
-        for slot in &ctx.slots[..drawn] {
-            match lock(slot).clone() {
-                Some(PlanOutcome::Record(record)) => records.push(record),
-                Some(PlanOutcome::Failure(failure)) => harness_failures.push(failure),
-                None => missing += 1,
-            }
-        }
-        if missing > 0 {
-            self.fail(&job, format!("{missing} plans left unexecuted"));
-            return;
-        }
-        harness_failures.sort_by_key(|f| f.plan_index);
-        let resumed = job.progress().resumed;
-        let result = CampaignResult {
-            records,
-            harness_failures,
-            resumed,
-            nominal_insts: ctx.workload.nominal_insts,
-            checkpoints: *lock(&ctx.checkpoints),
-        };
-        match self.build_artifact(&ctx, &result) {
+        let built = ctx
+            .runtime
+            .finish()
+            .map_err(|e| e.to_string())
+            .and_then(|result| self.build_artifact(&ctx, &result));
+        match built {
             Ok(payload) => {
                 job.update(|p| p.state = JobState::Done);
                 job.events.push(proto::result_event(&job.id, &payload));
@@ -691,6 +514,7 @@ impl Daemon {
     /// payload is what every subscriber receives byte-identically.
     fn build_artifact(&self, ctx: &RunCtx, result: &CampaignResult) -> Result<String, String> {
         let spec = &ctx.job.spec;
+        let (workload, config) = (ctx.runtime.workload(), ctx.runtime.config());
         let store = self
             .store
             .for_tenant(&spec.tenant)
@@ -701,8 +525,8 @@ impl Daemon {
         };
         match spec.kind {
             JobKind::Campaign | JobKind::Eval => {
-                let summary = summarize(&ctx.workload.name, &ctx.config, result);
-                let fp = summary_fingerprint(&ctx.workload.module, &ctx.workload.name, &ctx.config);
+                let summary = summarize(&workload.name, config, result);
+                let fp = summary_fingerprint(&workload.module, &workload.name, config);
                 let key = Key::of(&fp);
                 let (summary, _) = store
                     .memoize_shared(&self.flight, &key, || Ok::<_, String>(summary))
@@ -710,11 +534,11 @@ impl Daemon {
                 Ok(render_summary(&summary))
             }
             JobKind::Protect | JobKind::Train => {
-                let campaign_fp = campaign_fingerprint(&ctx.workload.module, &ctx.config);
+                let campaign_fp = campaign_fingerprint(&workload.module, config);
                 let set_key = Key::of(&campaign_fp);
                 let (set, _) = store
                     .memoize_shared(&self.flight, &set_key, || {
-                        Ok::<_, String>(training_set_artifact(&ctx.workload, result))
+                        Ok::<_, String>(training_set_artifact(workload, result))
                     })
                     .map_err(store_err)?;
                 if spec.kind == JobKind::Train {
@@ -751,7 +575,7 @@ impl Daemon {
                         self.resolve_policy(&store, spec, &set, &campaign_fp)?;
                     let (module, stats, _) = memoized_protect(
                         Some(&store),
-                        &ctx.workload.module,
+                        &workload.module,
                         &policy,
                         model_key.as_ref(),
                     )

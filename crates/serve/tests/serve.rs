@@ -13,6 +13,12 @@ const SOURCE: &str = "fn main() -> int { let s: int = 0;
     for (let i: int = 0; i < 300; i = i + 1) { s = s + i * i; }
     output_i(s); return 0; }";
 
+/// `SOURCE` with a longer loop: a job long enough that a shutdown
+/// request lands mid-job even on an optimized build.
+const LONG_SOURCE: &str = "fn main() -> int { let s: int = 0;
+    for (let i: int = 0; i < 2000; i = i + 1) { s = s + i * i; }
+    output_i(s); return 0; }";
+
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("ipas-serve-tests")
@@ -119,7 +125,7 @@ fn graceful_shutdown_drains_and_restart_resumes_from_journal() {
     // Phase 1: submit a large campaign and shut down immediately — the
     // single worker can only finish its in-flight chunk.
     let (daemon, client) = start_daemon(cfg.clone());
-    let mut spec = JobSpec::new(JobKind::Campaign, "acme", "sumsq", SOURCE);
+    let mut spec = JobSpec::new(JobKind::Campaign, "acme", "sumsq", LONG_SOURCE);
     spec.runs = 4000;
     spec.seed = 9;
     let outcome = client
@@ -218,21 +224,39 @@ fn sectional_jobs_tag_the_journal_and_keep_the_summary_identical() {
         .unwrap();
     assert_eq!(
         out_sectional, out_plain,
-        "section-aligned chunking is invisible in the summary"
+        "section tags are invisible in the summary"
     );
 
     let journal = |id: &str| {
         std::fs::read_to_string(cfg.state_dir.join("journals").join(format!("{id}.jsonl")))
             .expect("journal written")
     };
+    let (sectional_journal, plain_journal) =
+        (journal(&sectional.job_id()), journal(&plain.job_id()));
     assert!(
-        journal(&sectional.job_id()).contains("\"sec\":"),
-        "sectional records carry section tags"
+        sectional_journal
+            .lines()
+            .skip(1)
+            .all(|line| line.contains("\"sec\":")),
+        "every sectional record carries its own section tag"
     );
     assert!(
-        !journal(&plain.job_id()).contains("\"sec\":"),
+        !plain_journal.contains("\"sec\":"),
         "plain records stay untagged"
     );
+    // Untagged, the two journals hold the same records.
+    let untagged = |text: &str| {
+        let mut lines: Vec<String> = text
+            .lines()
+            .map(|line| match line.find(",\"sec\":") {
+                Some(at) => format!("{}}}", &line[..at]),
+                None => line.to_string(),
+            })
+            .collect();
+        lines.sort();
+        lines
+    };
+    assert_eq!(untagged(&sectional_journal), untagged(&plain_journal));
 
     client.shutdown().unwrap();
     daemon.join().unwrap();
@@ -261,9 +285,14 @@ fn adaptive_jobs_round_tag_the_journal_and_resume_across_restarts() {
         .join("journals")
         .join(format!("{}.jsonl", spec.job_id()));
     let journal = std::fs::read_to_string(&journal_path).expect("journal written");
+    let header = journal.lines().next().unwrap();
     assert!(
-        journal.lines().next().unwrap().contains("\"rounds\":"),
+        header.contains("\"rounds\":"),
         "adaptive header pins the round size"
+    );
+    assert!(
+        header.contains("\"sampling\":\"static\""),
+        "adaptive plans are site-restricted, as the CLI's header records: {header}"
     );
     assert!(
         journal.contains("\"sec\":"),

@@ -32,7 +32,6 @@
 pub mod artifact;
 pub mod flight;
 pub mod hash;
-pub mod json;
 pub mod registry;
 pub mod store;
 
@@ -43,7 +42,7 @@ pub use artifact::{
 };
 pub use flight::{FlightEntry, SingleFlight};
 pub use hash::{Fingerprint, FingerprintBuilder};
-pub use json::{Fields, LineBuilder};
+pub use ipas_ir::json::{self, Fields, LineBuilder};
 pub use registry::{Registry, RegistryEntry};
 pub use store::{
     CacheOutcome, Entry, GcReport, Key, MemoError, PinGuard, Store, VerifyReport, STORE_DIR_ENV,

@@ -139,7 +139,7 @@ fn usage() -> ExitCode {
          \x20      ipas client <submit <file.scil>|status ID|watch ID|cancel ID|stats|shutdown>\n\
          \x20                  [--socket PATH] [--kind campaign|protect|train|eval] [--watch]\n\
          \x20                  [--tenant T] [--name N] [--module-key KEY] [--deadline-ms MS]\n\
-         \x20                  [--sections]   # campaign jobs: section-aligned chunks\n\
+         \x20                  [--sections]   # campaign jobs: section-tagged journal\n\
          \x20                  [--adaptive]   # campaign jobs: active-learning rounds\n\
          fault models M: single-bit (default), burst<W>, stuck-value, load-value, store-value, \
          branch-flip"
