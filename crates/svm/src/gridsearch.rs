@@ -4,13 +4,20 @@
 //! and 1, evaluating 500 configurations by cross validation and ranking
 //! them by the Eq. 1 F-score; the top-N configurations (N = 5 in the
 //! evaluation) are then carried into the protection experiments.
+//!
+//! Each fold is standardized once, its training split grouped into
+//! distinct rows, and two distance tables computed once: `d × d` between
+//! the distinct training rows and `n_test × d` from every test row to
+//! them. Per γ, each table becomes a kernel shared by every `C`; SMO runs
+//! over the `d × d` one (see the duplicate-aware SMO in `svm.rs`), and a
+//! test prediction is a lookup-and-sum over the other that rounds exactly
+//! like [`Svm::decision_function`].
 
 use std::sync::Mutex;
 
 use crate::dataset::{Dataset, Scaler};
 use crate::metrics::{f_score, per_class_accuracy, ClassAccuracy};
-use crate::svm::{Svm, SvmParams};
-use crate::Classifier;
+use crate::svm::{dist2, rbf_of, Groups, Svm, SvmParams};
 
 /// Options for [`grid_search`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,17 +103,25 @@ pub struct ConfigScore {
 /// the paper's overfitting discussion favors).
 ///
 /// Work is parallelized across γ values with scoped threads: each γ
-/// shares one kernel matrix per fold across all `C` values.
+/// shares one training and one test kernel per fold across all `C`
+/// values. Scores are bit-identical to training [`Svm::train`] on every
+/// fold and predicting with [`Svm::decision_function`].
 pub fn grid_search(data: &Dataset, opts: &GridOptions) -> Vec<ConfigScore> {
     let folds = data.stratified_kfold(opts.folds, opts.seed);
 
-    // Pre-standardize per fold and precompute squared-distance matrices,
-    // shared by every configuration.
+    // Pre-standardize per fold, group the training split's distinct rows,
+    // and precompute the squared distances among them and from every test
+    // row to them, shared by every configuration.
     struct FoldData {
         train: Dataset,
-        test: Dataset,
+        groups: Groups,
         test_truth: Vec<bool>,
-        dist2: Vec<f64>, // n_train × n_train squared distances
+        /// `d × d` squared distances between the distinct training rows.
+        train_dist2: Vec<f64>,
+        /// `n_test × d` squared distances from each test row to each
+        /// distinct training row, summed as the decision function sums
+        /// them.
+        test_dist2: Vec<f64>,
     }
     // A fold whose training split lost one class entirely (possible when
     // the minority class has fewer samples than folds) cannot train an
@@ -124,22 +139,21 @@ pub fn grid_search(data: &Dataset, opts: &GridOptions) -> Vec<ConfigScore> {
             let scaler = Scaler::fit(&train_raw);
             let train = scaler.transform(&train_raw);
             let test = scaler.transform(&test_raw);
-            let n = train.len();
             let x = train.features();
-            let mut dist2 = vec![0.0f64; n * n];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d: f64 = x[i].iter().zip(&x[j]).map(|(a, b)| (a - b) * (a - b)).sum();
-                    dist2[i * n + j] = d;
-                    dist2[j * n + i] = d;
-                }
-            }
+            let groups = Groups::new(x);
+            let train_dist2 = groups.pairwise(x, |_| 0.0, dist2);
+            let test_dist2 = test
+                .features()
+                .iter()
+                .flat_map(|t| groups.rows(x).map(move |r| dist2(r, t)))
+                .collect();
             let test_truth = test.labels().to_vec();
             FoldData {
                 train,
-                test,
+                groups,
                 test_truth,
-                dist2,
+                train_dist2,
+                test_dist2,
             }
         })
         .collect();
@@ -161,23 +175,32 @@ pub fn grid_search(data: &Dataset, opts: &GridOptions) -> Vec<ConfigScore> {
             let results = &results;
             scope.spawn(move || {
                 for &gamma in chunk {
-                    // One kernel per (γ, fold), shared across C values.
-                    let kernels: Vec<Vec<f64>> = fold_data
+                    // One training and one test kernel per (γ, fold),
+                    // shared across C values.
+                    let kernels: Vec<(Vec<f64>, Vec<f64>)> = fold_data
                         .iter()
-                        .map(|fd| fd.dist2.iter().map(|d| (-gamma * d).exp()).collect())
+                        .map(|fd| {
+                            let exp =
+                                |d2: &Vec<f64>| d2.iter().map(|&d| rbf_of(gamma, d)).collect();
+                            (exp(&fd.train_dist2), exp(&fd.test_dist2))
+                        })
                         .collect();
                     for &c in c_values {
                         let mut predicted = Vec::new();
                         let mut truth = Vec::new();
                         let mut params = SvmParams::new(c, gamma);
-                        for (fd, kernel) in fold_data.iter().zip(&kernels) {
+                        for (fd, (kernel, test_kernel)) in fold_data.iter().zip(&kernels) {
                             let mut p = params;
                             if opts.balanced {
                                 p = p.balanced_for(&fd.train);
                             }
                             params = p;
-                            let model = Svm::train_prepared(&fd.train, &p, kernel);
-                            predicted.extend(model.predict_batch(fd.test.features()));
+                            let dual = Svm::train_prepared(&fd.train, &p, &fd.groups, kernel);
+                            predicted.extend(
+                                test_kernel
+                                    .chunks_exact(fd.groups.len())
+                                    .map(|k| dual.decision(&fd.groups, k) > 0.0),
+                            );
                             truth.extend_from_slice(&fd.test_truth);
                         }
                         let accuracy = per_class_accuracy(&predicted, &truth);

@@ -5,6 +5,30 @@
 //! error cache, a second-choice heuristic, and per-class penalty weights
 //! `C⁺ = w·C`, `C⁻ = C` so that the rare SOC class is not drowned out by
 //! the majority class.
+//!
+//! # Duplicate-aware SMO
+//!
+//! An IPAS training row is the injected instruction's static features,
+//! so rows repeat: a 200-run training set holds a few dozen distinct
+//! rows. The solver exploits this without changing a single bit of the
+//! trained model:
+//!
+//! * Rows are grouped bit for bit ([`f64::to_bits`]; `0.0` and `-0.0`
+//!   stay apart) and groups are numbered by first occurrence. The kernel
+//!   is evaluated once per group pair, `d × d` instead of `n × n`; IEEE
+//!   subtraction is antisymmetric, so every entry equals the per-sample
+//!   one.
+//! * Samples with the same group and label always hold bit-identical
+//!   errors. The error cache, its update (`e + ((d1·k1 + d2·k2) + db)`,
+//!   today's evaluation order) and the second-choice scan run over these
+//!   error classes, at most `2d` of them. The scan returns the first
+//!   class, in first-sample order, with the largest gap, which is the
+//!   first sample a per-sample scan would return.
+//! * The alphas, the KKT sweep order, the fallback loop and the step
+//!   budget `50·n` stay per sample, and the model keeps one support
+//!   vector per sample, so the decision sum rounds as before.
+
+use std::collections::HashMap;
 
 use crate::dataset::Dataset;
 use crate::Classifier;
@@ -57,9 +81,118 @@ pub struct Svm {
     gamma: f64,
 }
 
-fn rbf(gamma: f64, a: &[f64], b: &[f64]) -> f64 {
-    let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+/// Squared Euclidean distance, summed in feature order. The grid
+/// search's precomputed distances call this too, so its kernels and test
+/// predictions round exactly like [`Svm::decision_function`].
+pub(crate) fn dist2(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// The RBF kernel value for a squared distance.
+pub(crate) fn rbf_of(gamma: f64, d2: f64) -> f64 {
     (-gamma * d2).exp()
+}
+
+fn rbf(gamma: f64, a: &[f64], b: &[f64]) -> f64 {
+    rbf_of(gamma, dist2(a, b))
+}
+
+/// The distinct feature rows of a dataset: samples whose rows are equal
+/// bit for bit share a group, numbered by first occurrence.
+///
+/// Rows holding a non-finite value never merge: `x - x` is not zero for
+/// them, so two copies would not have equal kernel rows.
+#[derive(Debug)]
+pub(crate) struct Groups {
+    /// The group of each sample.
+    of: Vec<usize>,
+    /// The first sample of each group, which represents it.
+    first: Vec<usize>,
+}
+
+impl Groups {
+    pub(crate) fn new(rows: &[Vec<f64>]) -> Self {
+        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut first = Vec::new();
+        let of = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut fresh = || {
+                    first.push(i);
+                    first.len() - 1
+                };
+                if row.iter().all(|v| v.is_finite()) {
+                    let key = row.iter().map(|v| v.to_bits()).collect();
+                    *index.entry(key).or_insert_with(fresh)
+                } else {
+                    fresh()
+                }
+            })
+            .collect();
+        Groups { of, first }
+    }
+
+    /// Number of groups (distinct rows).
+    pub(crate) fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    /// The group of sample `i`.
+    pub(crate) fn of(&self, i: usize) -> usize {
+        self.of[i]
+    }
+
+    /// The representative row of each group, in group order.
+    pub(crate) fn rows<'a>(&'a self, rows: &'a [Vec<f64>]) -> impl Iterator<Item = &'a [f64]> + 'a {
+        self.first.iter().map(move |&i| rows[i].as_slice())
+    }
+
+    /// The symmetric `len() × len()` matrix of `f(a, b)` over
+    /// representative rows, evaluated once per pair with `a` before `b`
+    /// (first-occurrence order, as a per-sample loop over `i < j` would),
+    /// and `diag(a)` on the diagonal.
+    pub(crate) fn pairwise(
+        &self,
+        rows: &[Vec<f64>],
+        diag: impl Fn(&[f64]) -> f64,
+        f: impl Fn(&[f64], &[f64]) -> f64,
+    ) -> Vec<f64> {
+        let d = self.len();
+        let reps: Vec<&[f64]> = self.rows(rows).collect();
+        let mut out = vec![0.0f64; d * d];
+        for a in 0..d {
+            out[a * d + a] = diag(reps[a]);
+            for b in (a + 1)..d {
+                let v = f(reps[a], reps[b]);
+                out[a * d + b] = v;
+                out[b * d + a] = v;
+            }
+        }
+        out
+    }
+}
+
+/// A solved SMO dual: the support samples (indices into the training
+/// set, ascending), their coefficients `alpha_i * y_i`, and the bias.
+#[derive(Debug)]
+pub(crate) struct Dual {
+    support: Vec<usize>,
+    coef: Vec<f64>,
+    bias: f64,
+}
+
+impl Dual {
+    /// The trained model's [`Svm::decision_function`] at a point whose
+    /// kernel value against each group's row is `k[group]`: the same
+    /// terms, summed in the same (support sample) order.
+    pub(crate) fn decision(&self, groups: &Groups, k: &[f64]) -> f64 {
+        let mut sum = self.bias;
+        for (&i, c) in self.support.iter().zip(&self.coef) {
+            sum += c * k[groups.of(i)];
+        }
+        sum
+    }
 }
 
 impl Svm {
@@ -70,30 +203,44 @@ impl Svm {
     /// Panics if `data` contains only one class (the campaign driver
     /// guarantees both classes are present).
     pub fn train(data: &Dataset, params: &SvmParams) -> Self {
-        let n = data.len();
         let x = data.features();
-        // Precompute the kernel matrix (training sets here are small).
-        let mut kernel = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in i..n {
-                let k = rbf(params.gamma, &x[i], &x[j]);
-                kernel[i * n + j] = k;
-                kernel[j * n + i] = k;
-            }
+        let groups = Groups::new(x);
+        let kernel = groups.pairwise(
+            x,
+            |a| rbf(params.gamma, a, a),
+            |a, b| rbf(params.gamma, a, b),
+        );
+        let dual = Self::train_prepared(data, params, &groups, &kernel);
+        Svm {
+            support_x: dual.support.iter().map(|&i| x[i].clone()).collect(),
+            coef: dual.coef,
+            bias: dual.bias,
+            gamma: params.gamma,
         }
-        Self::train_prepared(data, params, &kernel)
     }
 
-    /// Trains with a caller-provided kernel matrix (row-major `n × n`).
-    /// Used by the grid search to share kernels across folds.
+    /// Solves the dual with a caller-provided kernel over the groups of
+    /// `data` (row-major `groups.len()²`). The grid search shares one
+    /// kernel across every `C` of a (γ, fold).
+    ///
+    /// SMO state stays per sample (alphas, the KKT sweep, the fallback
+    /// loop and the step budget), but samples with the same group and
+    /// label always hold bit-identical errors, so the error cache, its
+    /// update and the second-choice scan run over these error classes.
     ///
     /// # Panics
     ///
     /// Panics if the matrix size does not match or the labels are
     /// single-class.
-    pub fn train_prepared(data: &Dataset, params: &SvmParams, kernel: &[f64]) -> Self {
+    pub(crate) fn train_prepared(
+        data: &Dataset,
+        params: &SvmParams,
+        groups: &Groups,
+        kernel: &[f64],
+    ) -> Dual {
         let n = data.len();
-        assert_eq!(kernel.len(), n * n, "kernel matrix size mismatch");
+        let d = groups.len();
+        assert_eq!(kernel.len(), d * d, "kernel matrix size mismatch");
         let y: Vec<f64> = data
             .labels()
             .iter()
@@ -111,12 +258,34 @@ impl Svm {
             }
         };
 
+        // Error classes: (group, label) pairs, numbered by first sample.
+        let mut class_id = vec![usize::MAX; 2 * d];
+        let mut class_first = Vec::new();
+        let class_of: Vec<usize> = (0..n)
+            .map(|i| {
+                let slot = &mut class_id[2 * groups.of(i) + usize::from(data.labels()[i])];
+                if *slot == usize::MAX {
+                    *slot = class_first.len();
+                    class_first.push(i);
+                }
+                *slot
+            })
+            .collect();
+        let m = class_first.len();
+        // The kernel laid out by class: row `g` holds K(g, group of c).
+        let mut kc = vec![0.0f64; d * m];
+        for g in 0..d {
+            for (c, &i) in class_first.iter().enumerate() {
+                kc[g * m + c] = kernel[g * d + groups.of(i)];
+            }
+        }
+
         let mut alpha = vec![0.0f64; n];
         let mut b = 0.0f64;
-        // Error cache: E_i = f(x_i) - y_i; with all alphas 0, f = b = 0.
-        let mut err: Vec<f64> = y.iter().map(|v| -v).collect();
+        // Error cache: E = f(x) - y per class; with all alphas 0, f = b = 0.
+        let mut err: Vec<f64> = class_first.iter().map(|&i| -y[i]).collect();
 
-        let k = |i: usize, j: usize| kernel[i * n + j];
+        let k = |i: usize, j: usize| kernel[groups.of(i) * d + groups.of(j)];
         let tol = params.tol;
         let eps = 1e-12;
 
@@ -127,7 +296,7 @@ impl Svm {
                 }
                 let (a1, a2) = (alpha[i1], alpha[i2]);
                 let (y1, y2) = (y[i1], y[i2]);
-                let (e1, e2) = (err[i1], err[i2]);
+                let (e1, e2) = (err[class_of[i1]], err[class_of[i2]]);
                 let s = y1 * y2;
                 let (c1, c2) = (c_of(i1), c_of(i2));
                 let (low, high) = if s < 0.0 {
@@ -169,12 +338,14 @@ impl Svm {
                     (b1 + b2) / 2.0
                 };
 
-                // Update the error cache for every sample.
+                // Update the error cache for every class.
                 let d1 = y1 * (a1_new - a1);
                 let d2 = y2 * (a2_new - a2);
                 let db = b_new - *b;
-                for (t, e) in err.iter_mut().enumerate() {
-                    *e += d1 * k(i1, t) + d2 * k(i2, t) + db;
+                let row1 = &kc[groups.of(i1) * m..][..m];
+                let row2 = &kc[groups.of(i2) * m..][..m];
+                for ((e, k1), k2) in err.iter_mut().zip(row1).zip(row2) {
+                    *e += d1 * k1 + d2 * k2 + db;
                 }
                 alpha[i1] = a1_new;
                 alpha[i2] = a2_new;
@@ -200,7 +371,7 @@ impl Svm {
                         continue;
                     }
                 }
-                let e2 = err[i2];
+                let e2 = err[class_of[i2]];
                 let r2 = e2 * y[i2];
                 let a2 = alpha[i2];
                 let kkt_violated = (r2 < -tol && a2 < c_of(i2) - eps) || (r2 > tol && a2 > eps);
@@ -208,18 +379,9 @@ impl Svm {
                     continue;
                 }
                 // Second-choice heuristic: maximize |E1 - E2|.
-                let mut best = None;
-                let mut best_gap = 0.0;
-                for (i1, e1) in err.iter().enumerate() {
-                    let gap = (e1 - e2).abs();
-                    if gap > best_gap {
-                        best_gap = gap;
-                        best = Some(i1);
-                    }
-                }
                 let mut stepped = false;
-                if let Some(i1) = best {
-                    stepped = take_step(&mut alpha, &mut err, &mut b, i1, i2);
+                if let Some(c) = second_choice(&err, e2) {
+                    stepped = take_step(&mut alpha, &mut err, &mut b, class_first[c], i2);
                 }
                 if !stepped {
                     // Deterministic fallback: scan all candidates.
@@ -250,19 +412,12 @@ impl Svm {
         }
 
         // Keep only support vectors.
-        let mut support_x = Vec::new();
-        let mut coef = Vec::new();
-        for i in 0..n {
-            if alpha[i] > 1e-8 {
-                support_x.push(data.features()[i].clone());
-                coef.push(alpha[i] * y[i]);
-            }
-        }
-        Svm {
-            support_x,
+        let support: Vec<usize> = (0..n).filter(|&i| alpha[i] > 1e-8).collect();
+        let coef = support.iter().map(|&i| alpha[i] * y[i]).collect();
+        Dual {
+            support,
             coef,
             bias: b,
-            gamma: params.gamma,
         }
     }
 
@@ -341,6 +496,50 @@ impl Svm {
             gamma,
         })
     }
+}
+
+/// The error class with the largest `|E - e2|` above zero, the first on
+/// ties. Classes are numbered by their first sample, so that sample is
+/// the one a per-sample scan with the same strict `>` would pick.
+///
+/// Four interleaved lanes each keep their first maximum; the merge takes
+/// the largest gap and, among equal gaps, the smallest class, which is
+/// the first maximum of the whole scan.
+fn second_choice(err: &[f64], e2: f64) -> Option<usize> {
+    const LANES: usize = 4;
+    let mut gap = [0.0f64; LANES];
+    let mut at = [usize::MAX; LANES];
+    let chunks = err.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for (j, chunk) in chunks.enumerate() {
+        for l in 0..LANES {
+            let g = (chunk[l] - e2).abs();
+            if g > gap[l] {
+                gap[l] = g;
+                at[l] = j * LANES + l;
+            }
+        }
+    }
+    let base = err.len() - tail.len();
+    for (l, e1) in tail.iter().enumerate() {
+        let g = (e1 - e2).abs();
+        if g > gap[l] {
+            gap[l] = g;
+            at[l] = base + l;
+        }
+    }
+    let mut best: Option<(f64, usize)> = None;
+    for (&g, &c) in gap.iter().zip(&at) {
+        let wins = match best {
+            _ if c == usize::MAX => false,
+            None => true,
+            Some((bg, bc)) => g > bg || (g == bg && c < bc),
+        };
+        if wins {
+            best = Some((g, c));
+        }
+    }
+    best.map(|(_, c)| c)
 }
 
 impl Classifier for Svm {
@@ -444,6 +643,22 @@ mod tests {
     fn single_class_data_panics() {
         let data = Dataset::new(vec![vec![0.0], vec![1.0]], vec![true, true]).unwrap();
         Svm::train(&data, &SvmParams::new(1.0, 1.0));
+    }
+
+    #[test]
+    fn groups_are_bitwise_and_keep_non_finite_rows_apart() {
+        let rows = vec![
+            vec![0.0, 1.0],
+            vec![-0.0, 1.0],
+            vec![0.0, 1.0],
+            vec![f64::NAN, 1.0],
+            vec![f64::NAN, 1.0],
+            vec![-0.0, 1.0],
+        ];
+        let groups = Groups::new(&rows);
+        let of: Vec<usize> = (0..rows.len()).map(|i| groups.of(i)).collect();
+        assert_eq!(of, [0, 1, 0, 2, 3, 1]);
+        assert_eq!(groups.len(), 4);
     }
 
     #[test]
