@@ -387,59 +387,38 @@ pub fn protect_with_named_config(
         engine: opts.engine,
         fault_model: opts.fault_model,
     };
-    let campaign_fp = ipas_core::campaign_fingerprint(&workload.module, &train_cfg);
-    // The campaign, training set, and models share keys with the cached
-    // experiment, so after `load_or_run_experiments` with a store this
-    // retraining resolves entirely from artifacts. Without a store, it
-    // still reuses the experiment's checkpoint journal.
-    let run_training = || {
-        let campaign_opts = ipas_faultsim::CampaignOptions {
-            journal: opts.journal_dir.as_deref().map(|dir| {
-                let _ = std::fs::create_dir_all(dir);
-                ipas_core::campaign_journal_path(dir, &workload.name, "training", opts.seed)
-            }),
-            ..ipas_faultsim::CampaignOptions::default()
-        };
-        let training = ipas_faultsim::run_campaign_with(&workload, &train_cfg, &campaign_opts)
-            .unwrap_or_else(|e| panic!("{} training campaign failed: {e}", kind.name()));
-        Ok::<_, std::convert::Infallible>(ipas_core::training_set_artifact(&workload, &training))
-    };
-    let set = match &store {
-        Some(store) => {
-            store
-                .memoize(&ipas_store::Key::of(&campaign_fp), run_training)
-                .unwrap_or_else(|e| match e {
-                    ipas_store::MemoError::Store(e) => panic!("artifact store failed: {e}"),
-                    ipas_store::MemoError::Compute(e) => match e {},
-                })
-                .0
-        }
-        None => match run_training() {
-            Ok(set) => set,
-        },
-    };
+    // The stages share keys and journals with the cached experiment, so
+    // after `load_or_run_experiments` with a store this retraining
+    // resolves entirely from artifacts; without a store it still reuses
+    // the experiment's checkpoint journal.
+    let (set, campaign_key, _) = ipas_core::training_stage(
+        store.as_ref(),
+        &workload,
+        &train_cfg,
+        opts.journal_dir.as_deref(),
+    )
+    .unwrap_or_else(|e| panic!("{} training stage failed: {e}", kind.name()));
     let index: usize = config_name
         .rsplit('#')
         .next()
         .and_then(|s| s.parse::<usize>().ok())
         .expect("config names look like IPAS#k")
         - 1;
-    let training_fp = ipas_core::training_fingerprint(
-        &campaign_fp,
-        ipas_core::LabelKind::SocGenerating,
+    let label = ipas_core::LabelKind::SocGenerating;
+    let (models, training_key, _) = ipas_core::classifier_stage(
+        store.as_ref(),
+        &ipas_core::dataset_from_artifact(&set, label),
+        &campaign_key,
+        label,
         &opts.grid,
         opts.top_n,
-    );
-    let (models, _) = ipas_core::memoized_models(store.as_ref(), &training_fp, opts.top_n, || {
-        let data = ipas_core::dataset_from_artifact(&set, ipas_core::LabelKind::SocGenerating);
-        ipas_core::train_top_configs(&data, &opts.grid, opts.top_n)
-    })
-    .expect("artifact store writes models");
+    )
+    .unwrap_or_else(|e| panic!("{} classifier stage failed: {e}", kind.name()));
     let model = models
         .into_iter()
         .nth(index)
         .expect("best index within top-N");
-    let model_key = ipas_store::Key::ranked(&training_fp, index);
+    let model_key = ipas_store::Key::ranked(&training_key, index);
     let (module, stats, _) = ipas_core::memoized_protect(
         store.as_ref(),
         &workload.module,

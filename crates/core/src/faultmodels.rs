@@ -18,6 +18,7 @@ use ipas_faultsim::{
 use ipas_svm::GridOptions;
 
 use crate::classifier::train_top_configs;
+use crate::experiment::check_labels;
 use crate::training::{build_training_set, LabelKind};
 
 /// One fault model's row of the comparison table.
@@ -116,7 +117,7 @@ pub fn compare_fault_models(
         let mut row = model_breakdown(model, &result);
         if !result.records.is_empty() {
             let data = build_training_set(workload, &result.records, LabelKind::SocGenerating);
-            if data.num_positive() > 0 && data.num_positive() < data.len() {
+            if check_labels(&data, LabelKind::SocGenerating).is_ok() {
                 row.f_score = train_top_configs(&data, grid, 1)
                     .into_iter()
                     .next()

@@ -8,6 +8,7 @@ use crate::classifier::TrainedClassifier;
 use crate::duplication::{
     protect_module_placed, CheckPlacement, DuplicationPass, DuplicationStats,
 };
+use crate::training::LabelKind;
 
 /// A rule mapping a module to its protected variant.
 #[derive(Debug, Clone)]
@@ -27,6 +28,16 @@ pub enum ProtectionPolicy {
 }
 
 impl ProtectionPolicy {
+    /// The classifier-driven policy for a model trained on `label`:
+    /// [`ProtectionPolicy::Ipas`] for SOC labels,
+    /// [`ProtectionPolicy::Baseline`] for symptom labels.
+    pub fn trained(label: LabelKind, model: TrainedClassifier) -> Self {
+        match label {
+            LabelKind::SocGenerating => ProtectionPolicy::Ipas(model),
+            LabelKind::SymptomGenerating => ProtectionPolicy::Baseline(model),
+        }
+    }
+
     /// Short label used in reports.
     pub fn label(&self) -> &'static str {
         match self {
