@@ -45,6 +45,7 @@ use ipas_store::{
 
 use crate::memo::{
     plan_slice_digest, section_fingerprint, section_index_fingerprint, section_profile_fingerprint,
+    with_run_identity,
 };
 
 /// Error running an incremental campaign.
@@ -146,12 +147,15 @@ pub fn run_campaign_incremental(
         .collect();
     let profile_keys: Vec<Key> = (0..total)
         .map(|s| {
-            Key::of(&section_profile_fingerprint(
-                &workload.name,
-                config,
-                options.sampling,
-                &fingerprints[s],
-                &digests[s],
+            Key::of(&with_run_identity(
+                &section_profile_fingerprint(
+                    &workload.name,
+                    config,
+                    options.sampling,
+                    &fingerprints[s],
+                    &digests[s],
+                ),
+                workload,
             ))
         })
         .collect();
@@ -177,6 +181,12 @@ pub fn run_campaign_incremental(
                 let Some(entry) = by_content.get(&(fp.as_str(), digest.as_str())) else {
                     continue;
                 };
+                // The profile key carries the run identity: a baseline
+                // recorded under other entry arguments or another
+                // verifier never splices.
+                if entry.profile_key != profile_keys[s].as_str() {
+                    continue;
+                }
                 cached[s] = load_profile(store, entry, &plans, &assignment, s as u32);
             }
         }
@@ -233,11 +243,9 @@ pub fn run_campaign_incremental(
             })
             .collect(),
     };
-    let index_key = Key::of(&section_index_fingerprint(
-        &workload.module,
-        &workload.name,
-        config,
-        options.sampling,
+    let index_key = Key::of(&with_run_identity(
+        &section_index_fingerprint(&workload.module, &workload.name, config, options.sampling),
+        workload,
     ));
     store.put(&index_key, &index)?;
 

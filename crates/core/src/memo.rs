@@ -13,6 +13,14 @@
 //! from campaign fingerprints: campaigns are seed-deterministic across
 //! worker counts and bit-identical across engines, so the same plan on
 //! more cores — or re-run under `--engine reference` — must still hit.
+//!
+//! The campaign-derived fingerprints below hash the module text and the
+//! campaign knobs only. A campaign's outcomes also depend on the entry
+//! arguments and the verifier — the workload's
+//! [`Workload::run_identity`] — so every key the stages mint from them
+//! is extended with [`with_run_identity`]. Classifier keys chain from
+//! the extended training key and protect keys from the model key, so
+//! both carry it too.
 
 use ipas_analysis::sections::SectionPartition;
 use ipas_analysis::{Feature, FEATURE_SCHEMA_VERSION};
@@ -41,7 +49,9 @@ pub fn module_fingerprint(module: &Module) -> Fingerprint {
 /// feature-schema version (the stored artifact embeds feature rows).
 /// `threads` is excluded — campaigns are seed-deterministic — and so is
 /// `engine`: both engines produce byte-identical records, so a cached
-/// campaign is valid whichever engine computed it.
+/// campaign is valid whichever engine computed it. It carries no run
+/// identity: the training stage keys its set with
+/// [`with_run_identity`] of this.
 pub fn campaign_fingerprint(module: &Module, config: &CampaignConfig) -> Fingerprint {
     fault_model_field(
         FingerprintBuilder::new("training-campaign")
@@ -52,6 +62,17 @@ pub fn campaign_fingerprint(module: &Module, config: &CampaignConfig) -> Fingerp
         config.fault_model,
     )
     .finish()
+}
+
+/// Extends a campaign-derived stage fingerprint with the workload's run
+/// identity ([`Workload::run_identity`]: entry arguments and verifier),
+/// so a result computed for other inputs or another verification
+/// routine never hits.
+pub fn with_run_identity(fp: &Fingerprint, workload: &Workload) -> Fingerprint {
+    FingerprintBuilder::new("run-identity")
+        .fingerprint("stage", fp)
+        .text("identity", &workload.run_identity())
+        .finish()
 }
 
 /// Adds the campaign's fault model to a fingerprint. The field is
@@ -122,10 +143,10 @@ pub fn protect_fingerprint(
         .finish()
 }
 
-/// Fingerprint of an evaluation campaign: the reference workload (its
-/// name and module; the verifier's golden outputs are derived from the
-/// module, so they need no separate field), the variant module under
-/// test, and the campaign knobs.
+/// Fingerprint of an evaluation campaign: the reference module, the
+/// variant module under test and its name, and the campaign knobs. It
+/// carries no run identity: the evaluation stage keys its summary with
+/// [`with_run_identity`] of this.
 pub fn eval_fingerprint(
     reference: &Module,
     variant: &Module,
@@ -148,7 +169,8 @@ pub fn eval_fingerprint(
 /// workload name, and the plan-determining knobs. Lives in its own
 /// domain (`cli-campaign`) so it can never collide with the
 /// training-campaign keys, which store [`TrainingSet`] artifacts rather
-/// than summaries.
+/// than summaries. It carries no run identity:
+/// [`crate::experiment::summary_key`] extends it.
 pub fn summary_fingerprint(module: &Module, name: &str, config: &CampaignConfig) -> Fingerprint {
     fault_model_field(
         FingerprintBuilder::new("cli-campaign")
@@ -201,10 +223,11 @@ pub fn plan_slice_digest(plans: &[Injection], assignment: &[u32], section: u32) 
     b.finish()
 }
 
-/// Fingerprint (store key) of one section's cached outcome profile:
-/// the campaign's run identity plus the section's content fingerprint
-/// and plan-slice digest. A section profile is reusable exactly when
-/// this whole key matches, so the key *is* the reuse condition.
+/// Fingerprint of one section's cached outcome profile: the campaign's
+/// knobs plus the section's content fingerprint and plan-slice digest.
+/// The incremental driver stores the profile under
+/// [`with_run_identity`] of this, and reuses it exactly when that whole
+/// key matches, so the key *is* the reuse condition.
 pub fn section_profile_fingerprint(
     name: &str,
     config: &CampaignConfig,
@@ -223,10 +246,11 @@ pub fn section_profile_fingerprint(
         .finish()
 }
 
-/// Fingerprint (store key) of a sectional campaign's baseline
+/// Fingerprint of a sectional campaign's baseline
 /// [`ipas_store::SectionIndex`]: the full module text plus the campaign
-/// identity. Every `--incremental` run stores its index under this key
-/// and prints it, so the next run can name it as `--baseline`.
+/// knobs. Every `--incremental` run stores its index under
+/// [`with_run_identity`] of this and prints that key, so the next run
+/// can name it as `--baseline`.
 pub fn section_index_fingerprint(
     module: &Module,
     name: &str,

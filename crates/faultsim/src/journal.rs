@@ -124,6 +124,11 @@ pub struct JournalHeader {
     pub eligible_results: u64,
     /// Dynamic instruction count of the clean run (fingerprint).
     pub nominal_insts: u64,
+    /// The workload's [`crate::Workload::run_identity`]: entry
+    /// arguments and verifier. A resume under a different identity is a
+    /// typed mismatch; a header written before the field existed
+    /// resumes without the check.
+    pub identity: String,
     /// Plans per adaptive round, when the campaign draws its plans in
     /// margin-weighted rounds. `None` for classic campaigns — the field
     /// is omitted from the header line, so pre-adaptive journals are
@@ -238,7 +243,8 @@ fn encode_header(h: &JournalHeader) -> String {
         .str("sampling", h.sampling.wire())
         .str("model", &h.fault_model.to_string())
         .num("eligible", h.eligible_results)
-        .num("nominal", h.nominal_insts);
+        .num("nominal", h.nominal_insts)
+        .str("identity", &h.identity);
     // Added like the record `sec` tag: only present on adaptive
     // campaigns, so classic journals stay byte-identical.
     if let Some(rounds) = h.round_runs {
@@ -467,6 +473,17 @@ fn check_header(fields: &Fields, expect: &JournalHeader) -> Result<(), JournalEr
             return mismatch(field, journal, campaign);
         }
     }
+    // Headers written before the run identity was recorded lack it and
+    // resume on the fields above alone.
+    if let Some(identity) = fields.str("identity") {
+        if identity != expect.identity {
+            return mismatch(
+                "run identity",
+                identity.to_string(),
+                expect.identity.clone(),
+            );
+        }
+    }
     // The round size is optional (absent on classic campaigns); an
     // adaptive resume must agree on it, because round boundaries decide
     // which journaled labels feed which round's retraining.
@@ -498,6 +515,8 @@ mod tests {
             fault_model: FaultModel::SingleBit,
             eligible_results: 100,
             nominal_insts: 500,
+            identity: "main() verified by golden comparison, 1 ints exact, 0 floats within 1e-9"
+                .into(),
             round_runs: None,
         }
     }
@@ -579,6 +598,55 @@ mod tests {
             Err(JournalError::Mismatch { field: "seed", .. }) => {}
             other => panic!("expected seed mismatch, got {other:?}"),
         }
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn rejects_a_different_run_identity() {
+        let path = temp_path("identity");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
+            append_record(&journal, 3, None);
+        }
+        // Same module shape, seed and runs, but another tolerance: the
+        // records were classified by another verifier.
+        let looser = JournalHeader {
+            identity: "main() verified by golden comparison, 1 ints exact, 0 floats within 1e30"
+                .into(),
+            ..header()
+        };
+        match CampaignJournal::open(&path, &looser) {
+            Err(JournalError::Mismatch {
+                field: "run identity",
+                journal,
+                campaign,
+            }) => {
+                assert_eq!(journal, header().identity);
+                assert_eq!(campaign, looser.identity);
+            }
+            other => panic!("expected run-identity mismatch, got {other:?}"),
+        }
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn legacy_header_without_identity_resumes() {
+        let path = temp_path("legacy-identity");
+        let encoded = encode_header(&header());
+        let field = format!(",\"identity\":\"{}\"", header().identity);
+        assert!(encoded.contains(&field), "{encoded}");
+        let mut text = encoded.replace(&field, "");
+        text.push_str(&record_line(3, None));
+        std::fs::write(&path, &text).expect("write");
+        let (journal, resume) = CampaignJournal::open(&path, &header()).expect("legacy resumes");
+        assert_eq!(resume.len(), 1);
+        assert_eq!(resume[&3], PlanOutcome::Record(record(3)));
+        append_record(&journal, 4, None);
+        drop(journal);
+        // The legacy header line is kept as it was.
+        let written = std::fs::read_to_string(&path).expect("read");
+        assert!(written.starts_with(&encoded.replace(&field, "")));
         std::fs::remove_file(&path).expect("cleanup");
     }
 

@@ -163,7 +163,10 @@ pub trait OutputVerifier: Sync + Send {
     /// Returns `true` when the output is acceptable (fault masked).
     fn verify(&self, run: &RunOutput) -> bool;
 
-    /// Human-readable description for reports.
+    /// Human-readable description for reports. It is also part of the
+    /// workload's [`Workload::run_identity`], which keys stored results
+    /// and journals, so it must name everything [`OutputVerifier::verify`]
+    /// depends on beyond the golden run (tolerances exactly, not rounded).
     fn describe(&self) -> String {
         "unspecified verification routine".to_string()
     }
@@ -211,8 +214,10 @@ impl OutputVerifier for GoldenToleranceVerifier {
     }
 
     fn describe(&self) -> String {
+        // `{:e}` is exact: two tolerances never render alike, so the
+        // description can key stored results (see `Workload::run_identity`).
         format!(
-            "golden comparison, {} ints exact, {} floats within {:.0e}",
+            "golden comparison, {} ints exact, {} floats within {:e}",
             self.golden_ints.len(),
             self.golden_floats.len(),
             self.tolerance
@@ -340,6 +345,21 @@ impl Workload {
             cond_branches: golden.cond_branches,
             golden: golden.outputs,
         })
+    }
+
+    /// The run identity: what decides a campaign's outcomes besides the
+    /// module and the campaign knobs — the entry function, its exact
+    /// arguments, and the verifier's [`OutputVerifier::describe`]. Store
+    /// keys and journal headers record it, so results computed for other
+    /// inputs or under another verification routine are never served.
+    pub fn run_identity(&self) -> String {
+        let args: Vec<String> = self.args.iter().map(|a| format!("{a:?}")).collect();
+        format!(
+            "{}({}) verified by {}",
+            self.entry,
+            args.join(", "),
+            self.verifier.describe()
+        )
     }
 
     /// Size of the clean run's dynamic sample space for one site class.

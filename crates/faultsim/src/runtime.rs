@@ -114,6 +114,7 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
                     fault_model: config.fault_model,
                     eligible_results: w.eligible_results,
                     nominal_insts: w.nominal_insts,
+                    identity: w.run_identity(),
                     round_runs,
                 };
                 let (journal, resume) = CampaignJournal::open(path, &header)?;

@@ -5,9 +5,15 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use ipas_core::experiment::{classifier_stage, memoized_protect, training_stage};
 use ipas_core::jobspec::{JobKind, JobSpec};
+use ipas_core::memo::dataset_from_artifact;
+use ipas_core::policy::ProtectionPolicy;
+use ipas_core::training::LabelKind;
+use ipas_faultsim::Workload;
 use ipas_serve::{run_daemon, Client, DaemonConfig, ServeError};
-use ipas_store::Fields;
+use ipas_store::{Fields, Key, Store};
+use ipas_svm::GridOptions;
 
 const SOURCE: &str = "fn main() -> int { let s: int = 0;
     for (let i: int = 0; i < 300; i = i + 1) { s = s + i * i; }
@@ -401,4 +407,115 @@ fn tenant_quotas_refuse_over_budget_submissions() {
 
     client.shutdown().unwrap();
     daemon.join().unwrap();
+}
+
+/// A float kernel whose outcomes depend on the verifier's tolerance.
+const FLOAT_SOURCE: &str = "fn main() -> int {
+    let n: int = 24;
+    let a: [float] = new_float(n);
+    for (let i: int = 0; i < n; i = i + 1) { a[i] = itof(i) * 0.5 + 1.0; }
+    let acc: float = 0.0;
+    for (let i: int = 0; i < n; i = i + 1) { acc = acc + a[i] * a[i]; }
+    output_f(acc);
+    free_arr(a);
+    return 0;
+}";
+
+/// Submits `spec`, waits for it, and returns its payload.
+fn payload(client: &Client, spec: &JobSpec) -> String {
+    let mut out = Vec::new();
+    client
+        .submit(spec, true, &mut out, &mut Vec::new())
+        .expect("job completes");
+    String::from_utf8(out).expect("payload is text")
+}
+
+#[test]
+fn campaign_summaries_are_keyed_on_the_run_identity() {
+    let dir = test_dir("identity");
+    let job = |tolerance: f64| {
+        let mut spec = JobSpec::new(JobKind::Campaign, "acme", "kernel", FLOAT_SOURCE);
+        spec.runs = 64;
+        spec.seed = 5;
+        spec.tolerance = tolerance;
+        spec
+    };
+    let (shared, fresh) = (dir.join("shared"), dir.join("fresh"));
+    for d in [&shared, &fresh] {
+        std::fs::create_dir_all(d).unwrap();
+    }
+    let (daemon, client) = start_daemon(config(&shared, 2, 8));
+    let strict = payload(&client, &job(1e-9));
+    // The same campaign under another verifier, against a store that
+    // already holds the strict summary.
+    let loose = payload(&client, &job(1e30));
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+
+    let (daemon, client) = start_daemon(config(&fresh, 2, 8));
+    let expected = payload(&client, &job(1e30));
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    assert_ne!(strict, expected, "the two verifiers classify differently");
+    assert_eq!(loose, expected);
+}
+
+#[test]
+fn protect_and_train_jobs_match_the_core_stages() {
+    let dir = test_dir("stages");
+    let (daemon, client) = start_daemon(config(&dir, 2, 8));
+    let mut protect = JobSpec::new(JobKind::Protect, "acme", "kernel", FLOAT_SOURCE);
+    protect.policy = "ipas".to_string();
+    protect.runs = 96;
+    protect.seed = 3;
+    protect.top = 1;
+    let mut train = protect.clone();
+    train.kind = JobKind::Train;
+    train.top = 2;
+    let protected = payload(&client, &protect);
+    let trained = payload(&client, &train);
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+
+    // The same stages, called directly against a store of their own.
+    let store = Store::open(dir.join("core-store")).unwrap();
+    let module = ipas_lang::compile(FLOAT_SOURCE).unwrap();
+    let workload = Workload::serial(&protect.name, module, protect.tolerance).unwrap();
+    let (set, campaign_key, _) =
+        training_stage(Some(&store), &workload, &protect.campaign_config(), None).unwrap();
+    let label = LabelKind::SocGenerating;
+    let data = dataset_from_artifact(&set, label);
+    let fit = |top: usize| {
+        classifier_stage(
+            Some(&store),
+            &data,
+            &campaign_key,
+            label,
+            &GridOptions::quick(),
+            top,
+        )
+        .unwrap()
+    };
+
+    let (models, key, _) = fit(1);
+    let policy = ProtectionPolicy::trained(label, models.into_iter().next().unwrap());
+    let (module, _, _) = memoized_protect(
+        Some(&store),
+        &workload.module,
+        &policy,
+        Some(&Key::ranked(&key, 0)),
+    )
+    .unwrap();
+    let (head, ir) = protected
+        .split_once('\n')
+        .expect("payload has a header line");
+    assert!(head.starts_with("policy IPAS "), "{head}");
+    assert_eq!(ir, module.to_text());
+
+    let (models, key, _) = fit(2);
+    assert_eq!(trained.lines().count(), models.len());
+    for rank in 0..models.len() {
+        let named = format!(" key {}\n", Key::ranked(&key, rank));
+        assert!(trained.contains(&named), "{trained}");
+    }
 }

@@ -52,7 +52,7 @@ impl OutputVerifier for EnergyVerifier {
 
     fn describe(&self) -> String {
         format!(
-            "total energy within ±{:.3e} of {:.6} for {} steps",
+            "total energy within ±{:e} of {:e} for {} steps",
             self.band, self.mean, self.expected_len
         )
     }
@@ -93,7 +93,7 @@ impl OutputVerifier for ConvergenceVerifier {
 
     fn describe(&self) -> String {
         format!(
-            "converged below {:.0e} within {} iterations",
+            "converged below {:e} within {} iterations",
             self.tol, self.max_iters
         )
     }
@@ -131,7 +131,7 @@ impl OutputVerifier for L2Verifier {
     }
 
     fn describe(&self) -> String {
-        format!("L2 distance to golden output <= {:.0e}", self.tol)
+        format!("L2 distance to golden output <= {:e}", self.tol)
     }
 }
 
