@@ -38,9 +38,13 @@ use crate::classifier::TrainedClassifier;
 use crate::training::LabelKind;
 
 /// Fingerprint of a module: its canonical printed text.
+///
+/// This and every fingerprint below hash [`Module::text`], which is
+/// printed once per module and memoized, so deriving a request's keys
+/// prints the unprotected module once, not once per stage.
 pub fn module_fingerprint(module: &Module) -> Fingerprint {
     FingerprintBuilder::new("module")
-        .text("ir", &module.to_text())
+        .text("ir", module.text())
         .finish()
 }
 
@@ -55,7 +59,7 @@ pub fn module_fingerprint(module: &Module) -> Fingerprint {
 pub fn campaign_fingerprint(module: &Module, config: &CampaignConfig) -> Fingerprint {
     fault_model_field(
         FingerprintBuilder::new("training-campaign")
-            .text("ir", &module.to_text())
+            .text("ir", module.text())
             .u64("runs", config.runs as u64)
             .u64("seed", config.seed)
             .u64("feature-schema", u64::from(FEATURE_SCHEMA_VERSION)),
@@ -136,7 +140,7 @@ pub fn protect_fingerprint(
     pipeline: &str,
 ) -> Fingerprint {
     FingerprintBuilder::new("duplication")
-        .text("ir", &module.to_text())
+        .text("ir", module.text())
         .text("policy", policy)
         .text("model", model_key.map(Key::as_str).unwrap_or("-"))
         .text("pipeline", pipeline)
@@ -155,8 +159,8 @@ pub fn eval_fingerprint(
 ) -> Fingerprint {
     fault_model_field(
         FingerprintBuilder::new("eval-campaign")
-            .text("reference-ir", &reference.to_text())
-            .text("variant-ir", &variant.to_text())
+            .text("reference-ir", reference.text())
+            .text("variant-ir", variant.text())
             .text("variant", name)
             .u64("runs", config.runs as u64)
             .u64("seed", config.seed),
@@ -174,7 +178,7 @@ pub fn eval_fingerprint(
 pub fn summary_fingerprint(module: &Module, name: &str, config: &CampaignConfig) -> Fingerprint {
     fault_model_field(
         FingerprintBuilder::new("cli-campaign")
-            .text("ir", &module.to_text())
+            .text("ir", module.text())
             .text("workload", name)
             .u64("runs", config.runs as u64)
             .u64("seed", config.seed),
@@ -258,7 +262,7 @@ pub fn section_index_fingerprint(
     sampling: SamplingMode,
 ) -> Fingerprint {
     FingerprintBuilder::new("section-index")
-        .text("ir", &module.to_text())
+        .text("ir", module.text())
         .text("workload", name)
         .u64("runs", config.runs as u64)
         .u64("seed", config.seed)

@@ -166,6 +166,28 @@ mod tests {
     }
 
     #[test]
+    fn apply_never_returns_a_stale_text_memo() {
+        let module = ipas_lang::compile(
+            "fn main() -> int { let x: int = mpi_rank(); return (x + 1) * (x + 2); }",
+        )
+        .unwrap();
+        // Print first, so the source's memo is filled before every apply.
+        let source = module.text().to_string();
+        for policy in [
+            ProtectionPolicy::Unprotected,
+            ProtectionPolicy::FullDuplication,
+        ] {
+            let (out, _) = policy.apply(&module);
+            let fresh = ipas_ir::printer::print_module(&out);
+            assert_eq!(out.text(), fresh, "{}", policy.label());
+            assert_eq!(out.clone().text(), fresh, "{}", policy.label());
+            assert_eq!(module.text(), source, "{}", policy.label());
+        }
+        let (full, _) = ProtectionPolicy::FullDuplication.apply(&module);
+        assert_ne!(full.text(), source, "full duplication must change the text");
+    }
+
+    #[test]
     fn apply_matches_the_raw_transform() {
         let module = ipas_lang::compile(
             "fn main() -> int { let x: int = mpi_rank(); return (x + 1) * (x + 2); }",

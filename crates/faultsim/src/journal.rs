@@ -129,6 +129,13 @@ pub struct JournalHeader {
     /// typed mismatch; a header written before the field existed
     /// resumes without the check.
     pub identity: String,
+    /// SHA-256, as 64 lowercase hex digits, of the campaign module's
+    /// canonical text ([`ipas_ir::Module::text`]). Two programs can
+    /// agree on every field above, clean-run sizes included, and still
+    /// classify faults differently; a resume under a different module is
+    /// a typed mismatch. A header written before the field existed
+    /// resumes without the check.
+    pub module: String,
     /// Plans per adaptive round, when the campaign draws its plans in
     /// margin-weighted rounds. `None` for classic campaigns — the field
     /// is omitted from the header line, so pre-adaptive journals are
@@ -244,7 +251,8 @@ fn encode_header(h: &JournalHeader) -> String {
         .str("model", &h.fault_model.to_string())
         .num("eligible", h.eligible_results)
         .num("nominal", h.nominal_insts)
-        .str("identity", &h.identity);
+        .str("identity", &h.identity)
+        .str("module", &h.module);
     // Added like the record `sec` tag: only present on adaptive
     // campaigns, so classic journals stay byte-identical.
     if let Some(rounds) = h.round_runs {
@@ -484,6 +492,12 @@ fn check_header(fields: &Fields, expect: &JournalHeader) -> Result<(), JournalEr
             );
         }
     }
+    // Likewise the module digest: absent from older headers.
+    if let Some(module) = fields.str("module") {
+        if module != expect.module {
+            return mismatch("module", module.to_string(), expect.module.clone());
+        }
+    }
     // The round size is optional (absent on classic campaigns); an
     // adaptive resume must agree on it, because round boundaries decide
     // which journaled labels feed which round's retraining.
@@ -517,6 +531,7 @@ mod tests {
             nominal_insts: 500,
             identity: "main() verified by golden comparison, 1 ints exact, 0 floats within 1e-9"
                 .into(),
+            module: "9c56cc51b374c3ba189210d5b6d4bf57790d351c96c47c02190ecf1e430635ab".into(),
             round_runs: None,
         }
     }
@@ -647,6 +662,58 @@ mod tests {
         // The legacy header line is kept as it was.
         let written = std::fs::read_to_string(&path).expect("read");
         assert!(written.starts_with(&encoded.replace(&field, "")));
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn rejects_a_different_module() {
+        let path = temp_path("module");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (journal, _) = CampaignJournal::open(&path, &header()).expect("fresh");
+            append_record(&journal, 3, None);
+        }
+        // Same clean-run sizes, seed, runs and identity: only the
+        // program text differs.
+        let edited = JournalHeader {
+            module: "b5bb9d8014a0f9b1d61e21e796d78dccdf1352f23cd32812f4850b878ae4944c".into(),
+            ..header()
+        };
+        match CampaignJournal::open(&path, &edited) {
+            Err(JournalError::Mismatch {
+                field: "module",
+                journal,
+                campaign,
+            }) => {
+                assert_eq!(journal, header().module);
+                assert_eq!(campaign, edited.module);
+            }
+            other => panic!("expected module mismatch, got {other:?}"),
+        }
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn legacy_header_without_module_resumes() {
+        let path = temp_path("legacy-module");
+        let encoded = encode_header(&header());
+        let field = format!(",\"module\":\"{}\"", header().module);
+        assert!(encoded.contains(&field), "{encoded}");
+        // The module digest follows the run identity.
+        let identity = format!("\"identity\":\"{}\"", header().identity);
+        assert!(encoded.contains(&format!("{identity}{field}")), "{encoded}");
+        let legacy = encoded.replace(&field, "");
+        let mut text = legacy.clone();
+        text.push_str(&record_line(3, None));
+        std::fs::write(&path, &text).expect("write");
+        let (journal, resume) = CampaignJournal::open(&path, &header()).expect("legacy resumes");
+        assert_eq!(resume.len(), 1);
+        assert_eq!(resume[&3], PlanOutcome::Record(record(3)));
+        append_record(&journal, 4, None);
+        drop(journal);
+        // The legacy header line is kept as it was.
+        let written = std::fs::read_to_string(&path).expect("read");
+        assert!(written.starts_with(&legacy));
         std::fs::remove_file(&path).expect("cleanup");
     }
 

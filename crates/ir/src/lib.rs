@@ -21,6 +21,8 @@
 //!   code elimination.
 //! * [`json`] — the flat JSON-lines codec shared by the journal, job
 //!   files, the serving protocol and pass statistics.
+//! * [`sha256`] — the one SHA-256 behind store keys, artifact checksums
+//!   and journal headers, on the x86-64 SHA extensions when present.
 //!
 //! # Example
 //!
@@ -55,6 +57,7 @@ pub mod parser;
 pub mod passes;
 pub mod passmgr;
 pub mod printer;
+pub mod sha256;
 pub mod types;
 pub mod value;
 pub mod verify;

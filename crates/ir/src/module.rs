@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::function::Function;
 
@@ -30,11 +31,17 @@ impl fmt::Display for FuncId {
 /// A compilation unit: a named set of functions.
 ///
 /// Function ids are assigned in insertion order and never invalidated.
-#[derive(Clone, Debug, Default)]
+///
+/// The canonical printed text is memoized: [`Module::text`] prints on
+/// first use and later calls read the memo. [`Module::add_function`]
+/// and [`Module::function_mut`], the only ways to mutate a module,
+/// clear it.
+#[derive(Clone, Default)]
 pub struct Module {
     name: String,
     funcs: Vec<Function>,
     by_name: HashMap<String, FuncId>,
+    text: OnceLock<String>,
 }
 
 impl Module {
@@ -44,6 +51,7 @@ impl Module {
             name: name.into(),
             funcs: Vec::new(),
             by_name: HashMap::new(),
+            text: OnceLock::new(),
         }
     }
 
@@ -64,6 +72,7 @@ impl Module {
             "duplicate function name `{}`",
             func.name()
         );
+        self.text.take();
         self.funcs.push(func);
         id
     }
@@ -88,6 +97,7 @@ impl Module {
     ///
     /// Panics if `id` is out of range.
     pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
+        self.text.take();
         &mut self.funcs[id.index()]
     }
 
@@ -109,15 +119,34 @@ impl Module {
         self.funcs.iter().map(|f| f.num_linked_insts()).sum()
     }
 
-    /// Renders the module in the textual IR format.
+    /// The module in the textual IR format, printed on first use and
+    /// memoized until the next mutation.
+    pub fn text(&self) -> &str {
+        self.text.get_or_init(|| crate::printer::print_module(self))
+    }
+
+    /// Renders the module in the textual IR format (an owned copy of
+    /// [`Module::text`]).
     pub fn to_text(&self) -> String {
-        crate::printer::print_module(self)
+        self.text().to_string()
     }
 }
 
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_text())
+        f.write_str(self.text())
+    }
+}
+
+/// Shows the module's contents, not its text memo, so the output does
+/// not depend on whether the module was printed.
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("name", &self.name)
+            .field("funcs", &self.funcs)
+            .field("by_name", &self.by_name)
+            .finish()
     }
 }
 
@@ -142,6 +171,63 @@ mod tests {
         let mut m = Module::new("m");
         m.add_function(Function::new("foo", &[], Type::Void));
         m.add_function(Function::new("foo", &[], Type::Void));
+    }
+
+    fn ret_function(name: &str) -> Function {
+        let mut b = crate::FunctionBuilder::new(name, &[Type::I64], Type::I64);
+        let entry = b.entry_block();
+        b.switch_to_block(entry);
+        b.ret(Some(crate::Value::param(0)));
+        b.finish()
+    }
+
+    /// The memo must always equal a fresh print, and so must a clone's.
+    fn assert_memo_fresh(m: &Module) {
+        let fresh = crate::printer::print_module(m);
+        assert_eq!(m.text(), fresh);
+        assert_eq!(m.to_text(), fresh);
+        assert_eq!(m.to_string(), fresh);
+        assert_eq!(m.clone().text(), fresh);
+    }
+
+    #[test]
+    fn text_memo_follows_every_mutation() {
+        let mut m = Module::new("m");
+        assert_memo_fresh(&m);
+        let f = m.add_function(ret_function("f"));
+        assert_memo_fresh(&m);
+        let before = m.text().to_string();
+        // Mutate through `function_mut`: the memo must not go stale.
+        let entry = m.function(f).entry();
+        m.function_mut(f).insert_inst(
+            entry,
+            0,
+            crate::Inst::Binary {
+                op: crate::BinOp::Add,
+                ty: Type::I64,
+                lhs: crate::Value::param(0),
+                rhs: crate::Value::param(0),
+            },
+        );
+        assert_memo_fresh(&m);
+        assert_ne!(m.text(), before);
+        m.add_function(ret_function("g"));
+        assert_memo_fresh(&m);
+        assert!(m.text().contains("@g"));
+    }
+
+    #[test]
+    fn debug_output_ignores_the_memo() {
+        let mut m = Module::new("m");
+        m.add_function(ret_function("f"));
+        let unprinted = format!("{m:?}");
+        let _ = m.text();
+        assert_eq!(format!("{m:?}"), unprinted);
+        assert!(unprinted.starts_with("Module { name: \"m\", funcs: ["));
+        assert_eq!(
+            format!("{:?}", Module::default()),
+            "Module { name: \"\", funcs: [], by_name: {} }"
+        );
     }
 
     #[test]

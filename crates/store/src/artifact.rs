@@ -21,7 +21,10 @@
 use std::fmt;
 use std::path::PathBuf;
 
+use std::fmt::Write as _;
+
 use crate::hash::{hex, sha256};
+use ipas_ir::sha256::push_hex;
 
 /// Envelope format version.
 pub const ENVELOPE_VERSION: u32 = 1;
@@ -334,29 +337,129 @@ pub fn inspect(text: &str, source: &str) -> Result<(ArtifactKind, u32), StoreErr
 
 /// Encodes a float as its 16-digit hex IEEE-754 bit pattern.
 pub fn fhex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    let mut s = String::with_capacity(16);
+    push_fhex(&mut s, v);
+    s
 }
 
+/// Appends the [`fhex`] encoding of `v` to `out`.
+fn push_fhex(out: &mut String, v: f64) {
+    push_hex(out, &v.to_bits().to_be_bytes());
+}
+
+/// Appends the [`fhex`] encodings of `vs` to `out`, space-separated.
+fn push_fhex_list(out: &mut String, vs: &[f64]) {
+    out.reserve(vs.len() * 17);
+    for (i, &v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        push_fhex(out, v);
+    }
+}
+
+/// Appends the line `key <fhex(v)>`.
+fn push_fhex_field(out: &mut String, key: &str, v: f64) {
+    out.push_str(key);
+    out.push(' ');
+    push_fhex(out, v);
+    out.push('\n');
+}
+
+/// Value of each lowercase hex digit byte; `0xff` for every other byte.
+const HEX_DIGIT: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[b"0123456789abcdef"[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
 /// Decodes a [`fhex`]-encoded float.
+///
+/// Accepts exactly what `u64::from_str_radix(tok, 16)` accepts on a
+/// 16-byte token: 16 lowercase hex digits are decoded directly, and any
+/// other token (uppercase digits, a leading `+`) falls back to it.
 ///
 /// # Errors
 ///
 /// Returns a reason string on malformed input.
 pub fn parse_fhex(tok: &str) -> Result<f64, String> {
-    if tok.len() != 16 {
+    let Ok(digits) = <&[u8; 16]>::try_from(tok.as_bytes()) else {
         return Err(format!("bad float bits `{tok}` (want 16 hex digits)"));
+    };
+    let mut bits = 0u64;
+    let mut invalid = 0u8;
+    for &b in digits {
+        let d = HEX_DIGIT[usize::from(b)];
+        invalid |= d;
+        bits = bits << 4 | u64::from(d & 0x0f);
     }
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad float bits `{tok}`"))
+    if invalid > 0x0f {
+        return u64::from_str_radix(tok, 16)
+            .map(f64::from_bits)
+            .map_err(|_| format!("bad float bits `{tok}`"));
+    }
+    Ok(f64::from_bits(bits))
+}
+
+/// The tokens [`str::split_whitespace`] yields, found byte by byte when
+/// the text is ASCII (the hex-float rows always are) and by
+/// `split_whitespace` itself otherwise.
+enum Tokens<'a> {
+    Ascii { text: &'a str, pos: usize },
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+fn tokens(text: &str) -> Tokens<'_> {
+    if text.is_ascii() {
+        Tokens::Ascii { text, pos: 0 }
+    } else {
+        Tokens::Unicode(text.split_whitespace())
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        // The ASCII bytes `char::is_whitespace` accepts.
+        let space = |b: u8| matches!(b, b' ' | b'\t'..=b'\r');
+        match self {
+            Tokens::Unicode(split) => split.next(),
+            Tokens::Ascii { text, pos } => {
+                let bytes = text.as_bytes();
+                while *pos < bytes.len() && space(bytes[*pos]) {
+                    *pos += 1;
+                }
+                let start = *pos;
+                while *pos < bytes.len() && !space(bytes[*pos]) {
+                    *pos += 1;
+                }
+                (start < *pos).then(|| &text[start..*pos])
+            }
+        }
+    }
+}
+
+/// Decodes the whitespace-separated [`fhex`] tokens of `toks` into
+/// `out`.
+fn parse_fhex_into<'a>(
+    toks: impl Iterator<Item = &'a str>,
+    out: &mut Vec<f64>,
+) -> Result<(), String> {
+    for tok in toks {
+        out.push(parse_fhex(tok)?);
+    }
+    Ok(())
 }
 
 fn parse_fhex_list(rest: &str) -> Result<Vec<f64>, String> {
-    rest.split_whitespace().map(parse_fhex).collect()
-}
-
-fn fhex_list(vs: &[f64]) -> String {
-    vs.iter().map(|&v| fhex(v)).collect::<Vec<_>>().join(" ")
+    let mut out = Vec::new();
+    parse_fhex_into(tokens(rest), &mut out)?;
+    Ok(out)
 }
 
 /// Pulls `key value` off a body line, enforcing the key.
@@ -444,14 +547,16 @@ impl Payload for TrainingSet {
         out.push_str(&format!("columns {}\n", self.columns.join(",")));
         out.push_str(&format!("rows {}\n", self.rows.len()));
         for row in &self.rows {
-            out.push_str(&format!(
-                "{} {} {} {} {}\n",
+            let _ = write!(
+                out,
+                "{} {} {} {} ",
                 row.bit,
                 row.outcome,
                 u8::from(row.soc),
-                u8::from(row.symptom),
-                fhex_list(&row.features)
-            ));
+                u8::from(row.symptom)
+            );
+            push_fhex_list(out, &row.features);
+            out.push('\n');
         }
     }
 
@@ -469,12 +574,13 @@ impl Payload for TrainingSet {
             let line = lines
                 .next()
                 .ok_or_else(|| format!("training set truncated: {i} of {n} rows present"))?;
-            let mut toks = line.split_whitespace();
+            let mut toks = tokens(line);
             let bit = parse_num(toks.next().ok_or("empty row")?, "bit")?;
             let outcome = toks.next().ok_or("row missing outcome")?.to_string();
             let soc = toks.next().ok_or("row missing soc label")? == "1";
             let symptom = toks.next().ok_or("row missing symptom label")? == "1";
-            let features: Vec<f64> = toks.map(parse_fhex).collect::<Result<_, _>>()?;
+            let mut features = Vec::with_capacity(columns.len());
+            parse_fhex_into(toks, &mut features)?;
             if features.len() != columns.len() {
                 return Err(format!(
                     "row {i} has {} features, header names {}",
@@ -545,20 +651,26 @@ impl Payload for TrainedModel {
     const SCHEMA: u32 = 1;
 
     fn encode_body(&self, out: &mut String) {
-        out.push_str(&format!("c {}\n", fhex(self.c)));
-        out.push_str(&format!("gamma {}\n", fhex(self.gamma)));
-        out.push_str(&format!("pos-weight {}\n", fhex(self.pos_weight)));
-        out.push_str(&format!("tol {}\n", fhex(self.tol)));
-        out.push_str(&format!("max-passes {}\n", self.max_passes));
-        out.push_str(&format!("f-score {}\n", fhex(self.f_score)));
-        out.push_str(&format!("acc1 {}\n", fhex(self.acc1)));
-        out.push_str(&format!("acc2 {}\n", fhex(self.acc2)));
-        out.push_str(&format!("mean {}\n", fhex_list(&self.scaler_mean)));
-        out.push_str(&format!("std {}\n", fhex_list(&self.scaler_std)));
-        out.push_str(&format!("bias {}\n", fhex(self.bias)));
-        out.push_str(&format!("sv {}\n", self.support.len()));
+        push_fhex_field(out, "c", self.c);
+        push_fhex_field(out, "gamma", self.gamma);
+        push_fhex_field(out, "pos-weight", self.pos_weight);
+        push_fhex_field(out, "tol", self.tol);
+        let _ = writeln!(out, "max-passes {}", self.max_passes);
+        push_fhex_field(out, "f-score", self.f_score);
+        push_fhex_field(out, "acc1", self.acc1);
+        push_fhex_field(out, "acc2", self.acc2);
+        out.push_str("mean ");
+        push_fhex_list(out, &self.scaler_mean);
+        out.push_str("\nstd ");
+        push_fhex_list(out, &self.scaler_std);
+        out.push('\n');
+        push_fhex_field(out, "bias", self.bias);
+        let _ = writeln!(out, "sv {}", self.support.len());
         for (sv, c) in self.support.iter().zip(&self.coef) {
-            out.push_str(&format!("{} {}\n", fhex(*c), fhex_list(sv)));
+            push_fhex(out, *c);
+            out.push(' ');
+            push_fhex_list(out, sv);
+            out.push('\n');
         }
     }
 
@@ -585,10 +697,13 @@ impl Payload for TrainedModel {
             let line = lines
                 .next()
                 .ok_or_else(|| format!("model truncated: {i} of {n} support vectors present"))?;
-            let vals = parse_fhex_list(line)?;
-            let (&c0, xs) = vals
-                .split_first()
-                .ok_or_else(|| format!("empty support-vector line {i}"))?;
+            let mut toks = tokens(line);
+            let c0 = match toks.next() {
+                Some(tok) => parse_fhex(tok)?,
+                None => return Err(format!("empty support-vector line {i}")),
+            };
+            let mut xs = Vec::with_capacity(scaler_mean.len());
+            parse_fhex_into(toks, &mut xs)?;
             if xs.len() != scaler_mean.len() {
                 return Err(format!(
                     "support vector {i} has dimension {}, scaler has {}",
@@ -597,7 +712,7 @@ impl Payload for TrainedModel {
                 ));
             }
             coef.push(c0);
-            support.push(xs.to_vec());
+            support.push(xs);
         }
         if lines.next().is_some() {
             return Err("trailing data after final support vector".to_string());
@@ -1188,6 +1303,110 @@ mod tests {
             coef: vec![1.5, -1.5],
             bias: -0.125,
         }
+    }
+
+    /// What `parse_fhex` accepted before it decoded digits itself.
+    fn radix_reference(tok: &str) -> Option<u64> {
+        if tok.len() != 16 {
+            return None;
+        }
+        u64::from_str_radix(tok, 16).ok()
+    }
+
+    fn assert_matches_radix(tok: &str) {
+        let got = parse_fhex(tok).ok().map(f64::to_bits);
+        assert_eq!(got, radix_reference(tok), "token {tok:?}");
+    }
+
+    #[test]
+    fn parse_fhex_accepts_exactly_what_from_str_radix_did() {
+        for tok in [
+            "3ff8000000000000",
+            "3FF8000000000000",
+            "3fF8000000000000",
+            "+3ff800000000000",
+            "++3ff80000000000",
+            "-3ff800000000000",
+            "3ff800000000000",
+            "3ff80000000000000",
+            "3ff800000000000g",
+            "3ff80000 0000000",
+            "0x3ff80000000000",
+            "3ff80000000000é",
+            "é3ff80000000000",
+            "ffffffffffffffff",
+            "0000000000000000",
+            "FFFFFFFFFFFFFFFF",
+            "",
+            "+",
+        ] {
+            assert_matches_radix(tok);
+        }
+        assert_eq!(
+            parse_fhex("+3ff800000000000").unwrap().to_bits(),
+            0x3ff800000000000
+        );
+        assert_eq!(parse_fhex("3FF8000000000000").unwrap(), 1.5);
+        // Random tokens over an alphabet of digits, both cases, signs,
+        // non-hex letters, a space and a two-byte character.
+        let alphabet: Vec<char> = "0123456789abcdefABCDEF+-gxG é".chars().collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let len = 14 + (x % 4) as usize;
+            let tok: String = (0..len)
+                .map(|i| {
+                    let r = (x >> (i * 3 % 60)) as usize ^ i;
+                    if (x >> 61) & 1 == 0 {
+                        alphabet[r % 16]
+                    } else {
+                        alphabet[r % alphabet.len()]
+                    }
+                })
+                .collect();
+            assert_matches_radix(&tok);
+        }
+    }
+
+    #[test]
+    fn tokens_split_exactly_like_split_whitespace() {
+        let alphabet: Vec<char> = "ab0 \t\n\x0b\x0c\r\x1c\u{85}\u{a0}\u{2003}é"
+            .chars()
+            .collect();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let len = (x % 12) as usize;
+            // Half the texts draw from the ASCII part of the alphabet only.
+            let pool = if (x >> 62) & 1 == 0 {
+                9
+            } else {
+                alphabet.len()
+            };
+            let text: String = (0..len)
+                .map(|i| alphabet[(x >> (i * 5 % 55)) as usize % pool])
+                .collect();
+            let want: Vec<&str> = text.split_whitespace().collect();
+            assert_eq!(tokens(&text).collect::<Vec<_>>(), want, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn fhex_matches_formatted_bits() {
+        for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, -1e-300, 6.02e23] {
+            assert_eq!(fhex(v), format!("{:016x}", v.to_bits()));
+            assert_eq!(parse_fhex(&fhex(v)).unwrap().to_bits(), v.to_bits());
+        }
+        let mut line = String::new();
+        push_fhex_list(&mut line, &[1.0, -2.0]);
+        assert_eq!(line, format!("{} {}", fhex(1.0), fhex(-2.0)));
+        line.clear();
+        push_fhex_list(&mut line, &[]);
+        assert_eq!(line, "");
     }
 
     #[test]

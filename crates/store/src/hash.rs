@@ -1,4 +1,4 @@
-//! Dependency-free SHA-256 and the fingerprinting layer built on it.
+//! SHA-256 and the fingerprinting layer built on it.
 //!
 //! Store keys are derived by hashing the *canonical inputs* of a
 //! pipeline stage — the printed IR module, the campaign configuration,
@@ -8,154 +8,13 @@
 //! differently from `("a", "bc")`), and seeds the digest with a domain
 //! tag so fingerprints of different stages never collide by
 //! construction.
+//!
+//! The hash itself is the workspace's one SHA-256, [`ipas_ir::sha256`],
+//! re-exported here unchanged.
 
 use std::fmt;
 
-/// SHA-256 round constants (FIPS 180-4).
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-/// Incremental SHA-256 (FIPS 180-4), implemented in-tree because the
-/// build must work without crates.io.
-#[derive(Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
-}
-
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buf: [0; 64],
-            buf_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// Absorbs `data`.
-    pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = rest.len().min(64 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
-    }
-
-    /// Finishes the digest.
-    pub fn finish(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Length is absorbed directly: update() would recount it.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(add) {
-            *s = s.wrapping_add(v);
-        }
-    }
-}
-
-/// Hashes a byte string in one call.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finish()
-}
-
-/// Renders a digest as lowercase hex.
-pub fn hex(digest: &[u8]) -> String {
-    let mut s = String::with_capacity(digest.len() * 2);
-    for b in digest {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{b:02x}");
-    }
-    s
-}
+pub use ipas_ir::sha256::{hex, sha256, Sha256};
 
 /// A 256-bit fingerprint of a stage's canonical inputs.
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
@@ -258,37 +117,6 @@ impl FingerprintBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sha256_known_vectors() {
-        // FIPS 180-4 test vectors.
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn sha256_incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let oneshot = sha256(&data);
-        for split in [0, 1, 63, 64, 65, 500, 999, 1000] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finish(), oneshot, "split at {split}");
-        }
-    }
 
     #[test]
     fn fingerprint_fields_are_framed() {

@@ -12,9 +12,9 @@
 //!
 //! Three layers:
 //!
-//! - [`hash`]: a dependency-free SHA-256 plus [`FingerprintBuilder`],
-//!   which frames labeled fields unambiguously so distinct inputs can
-//!   never alias to one key.
+//! - [`hash`]: the workspace's SHA-256 (from [`ipas_ir::sha256`]) plus
+//!   [`FingerprintBuilder`], which frames labeled fields unambiguously
+//!   so distinct inputs can never alias to one key.
 //! - [`artifact`]: the typed artifact kinds ([`TrainingSet`],
 //!   [`TrainedModel`], [`CampaignSummary`], [`ProtectedModule`]) and
 //!   their hand-rolled text envelope — schema-version header, checksum

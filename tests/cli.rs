@@ -328,6 +328,51 @@ fn journal_resume_checks_the_run_identity() {
 }
 
 #[test]
+fn journal_resume_checks_the_module() {
+    // Two programs that differ only in a constant: same dynamic
+    // instruction count, same value sites, same run identity.
+    let dir = fresh_dir("module-journal");
+    let source = "fn main() -> int {
+        let s: int = 0;
+        for (let i: int = 0; i < 200; i = i + 1) { s = s + i * i; }
+        output_i(s % 1000003);
+        return 0;
+    }";
+    let journal = dir.join("j.jsonl");
+    let campaign = |name: &str, text: &str, journal: Option<&std::path::Path>| {
+        let mut cmd = ipas();
+        cmd.arg("campaign")
+            .arg(write_temp(name, text))
+            .args(["--runs", "64", "--seed", "5"])
+            .env_remove("IPAS_STORE_DIR");
+        if let Some(journal) = journal {
+            cmd.arg("--journal").arg(journal);
+        }
+        cmd.output().expect("spawns")
+    };
+    let soc = |out: &std::process::Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with("SOC "))
+            .unwrap_or_else(|| panic!("no SOC line in {stdout}"))
+            .to_string()
+    };
+    let first = campaign("module-a.scil", source, Some(&journal));
+    assert!(first.status.success());
+    let edited = source.replace("1000003", "2");
+    let out = campaign("module-b.scil", &edited, Some(&journal));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "resumed another program's records");
+    assert!(stderr.contains("different campaign: module"), "{stderr}");
+    // The edited program's own campaign differs from the first one's,
+    // so resuming would have reported a wrong SOC rate.
+    let fresh = campaign("module-b.scil", &edited, None);
+    assert!(fresh.status.success());
+    assert_ne!(soc(&fresh), soc(&first));
+}
+
+#[test]
 fn journal_dir_is_created_and_holds_every_protect_campaign() {
     let dir = fresh_dir("journal-created");
     let path = write_temp("journal-created.scil", CACHE_KERNEL);
