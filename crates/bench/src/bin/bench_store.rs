@@ -346,19 +346,6 @@ fn reps(default: usize) -> usize {
         .max(1)
 }
 
-fn sha_extensions() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("sha")
-            && std::is_x86_feature_detected!("ssse3")
-            && std::is_x86_feature_detected!("sse4.1")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 fn header(json: &mut String, reps: usize) {
     let g = grid();
     json.push_str("{\n");
@@ -374,7 +361,6 @@ fn header(json: &mut String, reps: usize) {
     );
     let _ = writeln!(json, "  \"seed\": {SEED},");
     let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"cpu_sha_extensions\": {},", sha_extensions());
 }
 
 /// One row's result from one run of a harness binary.

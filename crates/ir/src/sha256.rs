@@ -39,8 +39,8 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
-    /// Compress with the SHA extensions. Only [`sha_extensions`] sets
-    /// it, after detecting them on this CPU.
+    /// Compress with the SHA extensions: true only when
+    /// `sha_extensions` detected them on this CPU.
     accelerated: bool,
 }
 
@@ -120,7 +120,7 @@ impl Sha256 {
 
 /// Whether this CPU has the SHA extensions and the SSSE3 and SSE4.1
 /// shuffles the accelerated compression uses.
-pub fn sha_extensions() -> bool {
+fn sha_extensions() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::is_x86_feature_detected!("sha")

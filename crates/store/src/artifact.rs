@@ -444,8 +444,7 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
-/// Decodes the whitespace-separated [`fhex`] tokens of `toks` into
-/// `out`.
+/// Decodes the [`fhex`] tokens `toks` into `out`.
 fn parse_fhex_into<'a>(
     toks: impl Iterator<Item = &'a str>,
     out: &mut Vec<f64>,
