@@ -119,6 +119,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn sha256_known_vectors() {
+        // FIPS 180-4 test vectors.
+        assert_eq!(
+            hex(&sha256(b"")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
+        assert_eq!(
+            hex(&sha256(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex(&sha256(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn sha256_incremental_matches_oneshot() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let oneshot = sha256(&data);
+        for split in [0, 1, 63, 64, 65, 500, 999, 1000] {
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finish(), oneshot, "split at {split}");
+        }
+    }
+
+    #[test]
     fn fingerprint_fields_are_framed() {
         let a = FingerprintBuilder::new("d").text("ab", "c").finish();
         let b = FingerprintBuilder::new("d").text("a", "bc").finish();
