@@ -140,7 +140,7 @@ fn compress(state: &mut [u32; 8], accelerated: bool, blocks: &[u8]) {
     if accelerated {
         // SAFETY: `accelerated` is true only for hashers built by
         // `Sha256::new` after `sha_extensions` detected SHA, SSSE3 and
-        // SSE4.1 on this CPU, and every caller passes whole blocks.
+        // SSE4.1 on this CPU.
         unsafe { x86::compress_blocks(state, blocks) };
         return;
     }
@@ -197,7 +197,8 @@ mod x86 {
 
     use super::K;
 
-    /// Compresses whole 64-byte blocks with the SHA extensions.
+    /// Compresses the whole 64-byte blocks of `blocks` with the SHA
+    /// extensions (a trailing partial block is ignored).
     ///
     /// The state is kept as the two lane groups `sha256rnds2` works on,
     /// ABEF and CDGH; each block runs 16 groups of four rounds, the
@@ -206,8 +207,7 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The CPU must support SHA, SSSE3 and SSE4.1, and `blocks.len()`
-    /// must be a multiple of 64.
+    /// The CPU must support SHA, SSSE3 and SSE4.1.
     // SAFETY: the caller guarantees the target features; every load and
     // store is unaligned and stays inside `state` (two 16-byte halves),
     // `K` (16 groups of four) or the current 64-byte block.
