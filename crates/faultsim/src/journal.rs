@@ -21,9 +21,10 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ipas_ir::{FuncId, InstId};
+use ipas_ir::{sha256, FuncId, InstId, Module};
 
 use ipas_ir::json::{Fields, LineBuilder};
+use ipas_ir::parser::parse_module;
 
 use crate::{FaultModel, HarnessFailure, InjectionRecord, Outcome, PlanOutcome, SamplingMode};
 
@@ -129,9 +130,8 @@ pub struct JournalHeader {
     /// typed mismatch; a header written before the field existed
     /// resumes without the check.
     pub identity: String,
-    /// SHA-256, as 64 lowercase hex digits, of the campaign module's
-    /// canonical text ([`ipas_ir::Module::text`]). Two programs can
-    /// agree on every field above, clean-run sizes included, and still
+    /// The campaign module's [`module_digest`]. Two programs can agree
+    /// on every field above, clean-run sizes included, and still
     /// classify faults differently; a resume under a different module is
     /// a typed mismatch. A header written before the field existed
     /// resumes without the check.
@@ -142,6 +142,22 @@ pub struct JournalHeader {
     /// byte-identical and still resume. Record `sec` tags then carry
     /// the round index instead of a section id.
     pub round_runs: Option<usize>,
+}
+
+/// A journal header's `module` field: the SHA-256, as 64 lowercase hex
+/// digits, of `module`'s text after one parse round trip. The printer
+/// writes each value under its arena index and the parser numbers values
+/// densely in layout order, so a pass's output and the same module read
+/// back from its printed IR (what a store hit returns) print differently
+/// but share this digest; a second round trip is a fixpoint.
+pub fn module_digest(module: &Module) -> String {
+    let digest = |text: &str| sha256::hex(&sha256::sha256(text.as_bytes()));
+    match parse_module(module.text()) {
+        Ok(canonical) => digest(canonical.text()),
+        // Printed IR always parses (the fuzz round-trip oracle checks
+        // it); the printed text is still a faithful digest if not.
+        Err(_) => digest(module.text()),
+    }
 }
 
 /// Outcomes recovered from an existing journal, keyed by plan index.
@@ -691,6 +707,31 @@ mod tests {
             other => panic!("expected module mismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn module_digest_ignores_value_numbering() {
+        let source = |k: &str| {
+            format!(
+                "fn main() -> int {{ let s: int = mpi_rank() + 1; output_i(s * {k}); return 0; }}"
+            )
+        };
+        let compiled = ipas_lang::compile(&source("3")).expect("compiles");
+        let parsed = parse_module(compiled.text()).expect("printed IR parses");
+        assert_ne!(compiled.text(), parsed.text(), "parsing renumbers values");
+        let digest = module_digest(&compiled);
+        assert_eq!(digest.len(), 64);
+        assert!(digest
+            .bytes()
+            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
+        assert_eq!(module_digest(&parsed), digest);
+        assert_eq!(
+            digest,
+            sha256::hex(&sha256::sha256(parsed.text().as_bytes())),
+            "the digest hashes the parsed module's text"
+        );
+        let edited = ipas_lang::compile(&source("4")).expect("compiles");
+        assert_ne!(module_digest(&edited), digest);
     }
 
     #[test]

@@ -92,7 +92,9 @@ use rand::{Rng, SeedableRng};
 pub use ipas_interp::{
     CompiledMachine, CompiledProgram, Engine, FaultModel, Injection, Ladder, SiteClass,
 };
-pub use journal::{outcome_line, CampaignJournal, JournalError, JournalHeader, ResumeState};
+pub use journal::{
+    module_digest, outcome_line, CampaignJournal, JournalError, JournalHeader, ResumeState,
+};
 pub use runtime::CampaignRuntime;
 
 /// The four §5.5 outcome categories of one fault-injection run.

@@ -42,10 +42,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use ipas_ir::sha256;
-
 use crate::{
-    CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
+    module_digest, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
     CheckpointStats, CompiledCampaign, Injection, InjectionRecord, JournalError, JournalHeader,
     PlanExecutor, PlanOutcome, ResumeState, SamplingMode, Workload,
 };
@@ -117,7 +115,7 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
                     eligible_results: w.eligible_results,
                     nominal_insts: w.nominal_insts,
                     identity: w.run_identity(),
-                    module: sha256::hex(&sha256::sha256(w.module.text().as_bytes())),
+                    module: module_digest(&w.module),
                     round_runs,
                 };
                 let (journal, resume) = CampaignJournal::open(path, &header)?;

@@ -429,3 +429,21 @@ fn storeless_rerun_resumes_from_its_journals() {
     assert_eq!(soc_line(&first), soc_line(&second));
     assert_eq!(journal_lines(&journals), before, "no journal gained lines");
 }
+
+#[test]
+fn store_protect_resumes_the_storeless_journals() {
+    let dir = fresh_dir("journal-store-mix");
+    let path = write_temp("journal-store-mix.scil", CACHE_KERNEL);
+    let journals = dir.join("journals");
+    let storeless = succeed(protect(&path, &dir.join("a.ir")).env("IPAS_JOURNAL_DIR", &journals));
+    let before = journal_lines(&journals);
+    // With a store, the protected module is the one parsed back from its
+    // stored IR, values numbered afresh; it is still the same program.
+    let stored = succeed(
+        protect(&path, &dir.join("b.ir"))
+            .env("IPAS_JOURNAL_DIR", &journals)
+            .env("IPAS_STORE_DIR", dir.join("store")),
+    );
+    assert_eq!(soc_line(&storeless), soc_line(&stored));
+    assert_eq!(journal_lines(&journals), before, "no journal gained lines");
+}
