@@ -25,18 +25,17 @@
 //!
 //! With `--compare`, the harness measures nothing itself: it runs
 //! `BASELINE_BIN` (this harness built from another revision) and its own
-//! executable alternately, each filling its own store and timing
-//! `IPAS_BENCH_REPS` rounds, and reports both sides per row, the
-//! baseline/candidate ratio of the medians, and whether every run of
-//! both sides derived the same keys and wrote the same artifact bytes
-//! (`identical`). This file uses only APIs the previous revision has,
-//! so it builds there unchanged. A revision from before the SHA
-//! extensions has only the portable compression, so the `sha256` row of
-//! a comparison against it times both compressions.
+//! executable alternately, each filling its own store and timing 9
+//! rounds, and reports both sides per row, the baseline/candidate ratio
+//! of the medians, and whether every run of both sides derived the same
+//! keys and wrote the same artifact bytes (`identical`). This file and
+//! the crate's `src/lib.rs` (which holds the shared `compare_runs`) use
+//! only APIs the previous revision has, so copied into an export of it
+//! they build there. A revision from before the SHA extensions has only the
+//! portable compression, so the `sha256` row of a comparison against it
+//! times both compressions.
 //!
 //! Environment:
-//! * `IPAS_BENCH_RUNS` — training-campaign runs per request (default
-//!   200; fewer can leave a training set with one class only).
 //! * `IPAS_BENCH_REPS` — timed rounds (default 9), or alternating pairs
 //!   with `--compare` (default 7).
 //! * output path defaults to `BENCH_store.json` in the current
@@ -44,9 +43,9 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::process::Command;
 use std::time::Instant;
 
+use ipas_bench::{bench_reps, compare_runs, quartiles};
 use ipas_core::{
     campaign_fingerprint, classifier_stage, dataset_from_artifact, eval_fingerprint,
     evaluation_stage, memoized_protect, protect_fingerprint, training_fingerprint, training_stage,
@@ -64,6 +63,9 @@ use ipas_workloads::Kind;
 
 const SEED: u64 = 2016;
 const TOP_N: usize = 2;
+/// Training-campaign runs per request; fewer can leave a training set
+/// with one class only.
+const TRAINING_RUNS: usize = 200;
 const EVAL_RUNS: usize = 48;
 const THREADS: usize = 2;
 
@@ -118,16 +120,8 @@ struct Request {
     variants: Vec<Variant>,
 }
 
-fn training_runs() -> usize {
-    std::env::var("IPAS_BENCH_RUNS")
-        .ok()
-        .map(|v| v.trim().parse().expect("IPAS_BENCH_RUNS is a run count"))
-        .unwrap_or(200)
-}
-
 /// Runs the five protect requests cold against `store`.
 fn fill(store: &Store) -> Vec<Request> {
-    let runs = training_runs();
     let mut requests = Vec::new();
     for (index, (kind, input)) in REQUEST_TYPES.into_iter().enumerate() {
         let module = ipas_lang::compile_named(ipas_workloads::sources::source(kind), kind.name())
@@ -135,7 +129,7 @@ fn fill(store: &Store) -> Vec<Request> {
         let workload =
             ipas_workloads::rebuild_with_module(kind, module.clone(), input).expect("golden run");
         let training = CampaignConfig {
-            runs,
+            runs: TRAINING_RUNS,
             seed: SEED + index as u64,
             threads: THREADS,
             ..CampaignConfig::default()
@@ -326,26 +320,6 @@ fn sha_mib(data: &[u8]) -> Sample {
     sample
 }
 
-/// Median and quartiles (linear interpolation between order statistics).
-fn quartiles(samples: &[f64]) -> [f64; 3] {
-    let mut s = samples.to_vec();
-    s.sort_by(f64::total_cmp);
-    let at = |p: f64| {
-        let pos = p * (s.len() - 1) as f64;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
-    };
-    [at(0.5), at(0.25), at(0.75)]
-}
-
-fn reps(default: usize) -> usize {
-    std::env::var("IPAS_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 fn header(json: &mut String, reps: usize) {
     let g = grid();
     json.push_str("{\n");
@@ -354,22 +328,10 @@ fn header(json: &mut String, reps: usize) {
         json,
         "  \"scale\": {{\"training_runs\": {}, \"eval_runs\": {EVAL_RUNS}, \"top_n\": {TOP_N}, \
          \"num_c\": {}, \"num_gamma\": {}, \"folds\": {}}},",
-        training_runs(),
-        g.num_c,
-        g.num_gamma,
-        g.folds
+        TRAINING_RUNS, g.num_c, g.num_gamma, g.folds
     );
     let _ = writeln!(json, "  \"seed\": {SEED},");
     let _ = writeln!(json, "  \"reps\": {reps},");
-}
-
-/// One row's result from one run of a harness binary.
-struct Line {
-    name: String,
-    ops: usize,
-    bytes: usize,
-    seconds: f64,
-    digest: String,
 }
 
 /// Measures this build: fills a store and times `rounds` rounds.
@@ -406,145 +368,73 @@ fn measure(out_path: &str, rounds: usize) {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let lines: Vec<Line> = names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let (ops, bytes, digest) = firsts[i].clone().expect("at least one round");
-            Line {
-                name: name.clone(),
-                ops,
-                bytes,
-                seconds: quartiles(&times[i])[0],
-                digest,
-            }
-        })
-        .collect();
     let mut json = String::new();
     header(&mut json, rounds);
     json.push_str("  \"sets\": [\n");
-    for (i, line) in lines.iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
+        let (ops, bytes, digest) = firsts[i].as_ref().expect("at least one round");
         let [median, q1, q3] = quartiles(&times[i]);
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"bytes\": {}, \"median_s\": {median:.9}, \
-             \"q1_s\": {q1:.9}, \"q3_s\": {q3:.9}, \"digest\": \"{}\"}}{}",
-            line.name,
-            line.ops,
-            line.bytes,
-            line.digest,
-            if i + 1 < lines.len() { "," } else { "" },
+            "    {{\"name\": \"{name}\", \"ops\": {ops}, \"bytes\": {bytes}, \"median_s\": {median:.9}, \
+             \"q1_s\": {q1:.9}, \"q3_s\": {q3:.9}, \"digest\": \"{digest}\"}}{}",
+            if i + 1 < names.len() { "," } else { "" },
         );
         // One tab-separated line per row on stdout, read by `--compare`.
-        println!(
-            "{}\t{}\t{}\t{}\t{}",
-            line.name, line.ops, line.bytes, line.seconds, line.digest
-        );
+        println!("{name}\t{ops}\t{bytes}\t{median}\t{digest}");
     }
     json.push_str("  ]\n}\n");
     std::fs::write(out_path, &json).expect("write benchmark output");
     eprintln!("[bench_store] wrote {out_path}");
 }
 
-fn run_side(bin: &str) -> Vec<Line> {
-    let report = std::env::temp_dir().join(format!("bench_store_side_{}.json", std::process::id()));
-    let out = Command::new(bin)
-        .arg(&report)
-        .env("IPAS_BENCH_REPS", "9")
-        .output()
-        .unwrap_or_else(|e| panic!("run {bin}: {e}"));
-    let _ = std::fs::remove_file(&report);
-    assert!(out.status.success(), "{bin} failed: {}", out.status);
-    String::from_utf8(out.stdout)
-        .expect("harness output is UTF-8")
-        .lines()
-        .map(|line| {
-            let f: Vec<&str> = line.split('\t').collect();
-            assert_eq!(f.len(), 5, "malformed harness line {line:?}");
-            Line {
-                name: f[0].to_string(),
-                ops: f[1].parse().expect("operation count"),
-                bytes: f[2].parse().expect("byte count"),
-                seconds: f[3].parse().expect("time in seconds"),
-                digest: f[4].to_string(),
-            }
-        })
-        .collect()
-}
-
 /// Alternates runs of `baseline` and this executable, `pairs` pairs.
 fn compare(baseline: &str, out_path: &str, pairs: usize) {
-    let candidate = std::env::current_exe().expect("own executable path");
-    let candidate = candidate.to_str().expect("UTF-8 executable path");
-    // sides[0] = baseline, sides[1] = candidate; each a list of runs.
-    let mut sides: [Vec<Vec<Line>>; 2] = [Vec::new(), Vec::new()];
-    for pair in 0..pairs {
-        // Swap which side goes first each pair.
-        let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
-        for side in order {
-            let bin = if side == 0 { baseline } else { candidate };
-            eprintln!("[bench_store] pair {} of {pairs}: {bin}", pair + 1);
-            sides[side].push(run_side(bin));
-        }
-    }
-
-    let first = &sides[1][0];
+    let rows = compare_runs("bench_store", baseline, pairs, 9, 3);
     let mut json = String::new();
     header(&mut json, pairs);
     json.push_str("  \"sets\": [\n");
-    let mut all_identical = true;
-    for (i, line) in first.iter().enumerate() {
-        let mut stats = [[0.0; 3]; 2];
-        let mut identical = true;
-        for (side, runs) in sides.iter().enumerate() {
-            let mut times = Vec::new();
-            for run in runs {
-                let l = &run[i];
-                assert_eq!(l.name, line.name, "rows differ");
-                identical &= (l.ops, l.bytes, &l.digest) == (line.ops, line.bytes, &line.digest);
-                times.push(l.seconds);
-            }
-            stats[side] = quartiles(&times);
-        }
-        all_identical &= identical;
+    for (i, row) in rows.iter().enumerate() {
+        let [name, ops, bytes, _, digest] = row.fields.as_slice() else {
+            panic!("malformed harness line {:?}", row.fields);
+        };
+        let (base, cand) = (row.stats[0][0], row.stats[1][0]);
         let side_json = |[m, q1, q3]: [f64; 3]| {
             format!("{{\"median_s\": {m:.9}, \"q1_s\": {q1:.9}, \"q3_s\": {q3:.9}}}")
         };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"bytes\": {}, \"baseline\": {}, \
-             \"candidate\": {}, \"ratio\": {:.3}, \"identical\": {identical}, \"digest\": \"{}\"}}{}",
-            line.name,
-            line.ops,
-            line.bytes,
-            side_json(stats[0]),
-            side_json(stats[1]),
-            stats[0][0] / stats[1][0],
-            line.digest,
-            if i + 1 < first.len() { "," } else { "" },
+            "    {{\"name\": \"{name}\", \"ops\": {ops}, \"bytes\": {bytes}, \"baseline\": {}, \
+             \"candidate\": {}, \"ratio\": {:.3}, \"identical\": {}, \"digest\": \"{digest}\"}}{}",
+            side_json(row.stats[0]),
+            side_json(row.stats[1]),
+            base / cand,
+            row.identical,
+            if i + 1 < rows.len() { "," } else { "" },
         );
+        let bytes: usize = bytes.parse().expect("byte count");
         let rate = |s: f64| {
-            if line.bytes > 0 {
-                format!("{:>7.0} MB/s", line.bytes as f64 / s / 1e6)
+            if bytes > 0 {
+                format!("{:>7.0} MB/s", bytes as f64 / s / 1e6)
             } else {
                 String::new()
             }
         };
         println!(
-            "{:<22} baseline {:>9.1} µs{}  candidate {:>9.1} µs{}  {:>5.2}x  identical {identical}",
-            line.name,
-            stats[0][0] * 1e6,
-            rate(stats[0][0]),
-            stats[1][0] * 1e6,
-            rate(stats[1][0]),
-            stats[0][0] / stats[1][0]
+            "{name:<22} baseline {:>9.1} µs{}  candidate {:>9.1} µs{}  {:>5.2}x  identical {}",
+            base * 1e6,
+            rate(base),
+            cand * 1e6,
+            rate(cand),
+            base / cand,
+            row.identical
         );
     }
     json.push_str("  ]\n}\n");
     std::fs::write(out_path, &json).expect("write benchmark output");
     eprintln!("[bench_store] wrote {out_path}");
     assert!(
-        all_identical,
+        rows.iter().all(|r| r.identical),
         "the two builds derived different keys or wrote different artifacts"
     );
 }
@@ -554,10 +444,10 @@ fn main() {
     match args.as_slice() {
         [flag, baseline, rest @ ..] if flag == "--compare" && rest.len() <= 1 => {
             let out = rest.first().map_or("BENCH_store.json", String::as_str);
-            compare(baseline, out, reps(7));
+            compare(baseline, out, bench_reps(7));
         }
-        [] => measure("BENCH_store.json", reps(9)),
-        [out] if !out.starts_with("--") => measure(out, reps(9)),
+        [] => measure("BENCH_store.json", bench_reps(9)),
+        [out] if !out.starts_with("--") => measure(out, bench_reps(9)),
         _ => {
             eprintln!(
                 "usage: bench_store [out.json] | bench_store --compare BASELINE_BIN [out.json]"

@@ -38,12 +38,12 @@
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::process::Command;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ipas_bench::{bench_reps, compare_runs, quartiles};
 use ipas_core::{
     dataset_from_artifact, train_top_configs, training_set_artifact, LabelKind, TrainedClassifier,
 };
@@ -198,18 +198,6 @@ fn digest(models: &[TrainedClassifier]) -> String {
     format!("{:016x}", h.0)
 }
 
-/// Median and quartiles (linear interpolation between order statistics).
-fn quartiles(samples: &[f64]) -> [f64; 3] {
-    let mut s = samples.to_vec();
-    s.sort_by(f64::total_cmp);
-    let at = |p: f64| {
-        let pos = p * (s.len() - 1) as f64;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
-    };
-    [at(0.5), at(0.25), at(0.75)]
-}
-
 fn sizes() -> Vec<usize> {
     let text = std::env::var("IPAS_BENCH_RUNS").unwrap_or_else(|_| "200,800".to_string());
     let sizes: Vec<usize> = text
@@ -247,7 +235,7 @@ fn measure(out_path: &str, reps: usize) {
     let grid = grid();
     let mut times: Vec<Vec<f64>> = vec![Vec::new(); sets.len()];
     let mut digests: Vec<Option<String>> = vec![None; sets.len()];
-    for rep in 0..reps.max(1) {
+    for rep in 0..reps {
         eprintln!("[bench_svm] repetition {} of {reps}", rep + 1);
         for (i, set) in sets.iter().enumerate() {
             let start = Instant::now();
@@ -283,115 +271,47 @@ fn measure(out_path: &str, reps: usize) {
     eprintln!("[bench_svm] wrote {out_path}");
 }
 
-/// One set's results from one run of a harness binary.
-struct Line {
-    name: String,
-    runs: String,
-    shape: String,
-    seconds: f64,
-    digest: String,
-}
-
-fn run_side(bin: &str) -> Vec<Line> {
-    let report = std::env::temp_dir().join(format!("bench_svm_side_{}.json", std::process::id()));
-    let out = Command::new(bin)
-        .arg(&report)
-        .env("IPAS_BENCH_REPS", "1")
-        .output()
-        .unwrap_or_else(|e| panic!("run {bin}: {e}"));
-    let _ = std::fs::remove_file(&report);
-    assert!(out.status.success(), "{bin} failed: {}", out.status);
-    String::from_utf8(out.stdout)
-        .expect("harness output is UTF-8")
-        .lines()
-        .map(|line| {
-            let f: Vec<&str> = line.split('\t').collect();
-            assert_eq!(f.len(), 5, "malformed harness line {line:?}");
-            Line {
-                name: f[0].to_string(),
-                runs: f[1].to_string(),
-                shape: f[2].to_string(),
-                seconds: f[3].parse().expect("time in seconds"),
-                digest: f[4].to_string(),
-            }
-        })
-        .collect()
-}
-
 /// Alternates runs of `baseline` and this executable, `reps` pairs.
 fn compare(baseline: &str, out_path: &str, reps: usize) {
-    let candidate = std::env::current_exe().expect("own executable path");
-    let candidate = candidate.to_str().expect("UTF-8 executable path");
-    // sides[0] = baseline, sides[1] = candidate; each a list of runs.
-    let mut sides: [Vec<Vec<Line>>; 2] = [Vec::new(), Vec::new()];
-    for rep in 0..reps.max(1) {
-        // Swap which side goes first each pair.
-        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
-        for side in order {
-            let bin = if side == 0 { baseline } else { candidate };
-            eprintln!("[bench_svm] pair {} of {reps}: {bin}", rep + 1);
-            sides[side].push(run_side(bin));
-        }
-    }
-
-    let first = &sides[1][0];
+    let rows = compare_runs("bench_svm", baseline, reps, 1, 3);
     let mut json = String::new();
     header(&mut json, reps);
     json.push_str("  \"sets\": [\n");
-    let mut all_identical = true;
-    for (i, line) in first.iter().enumerate() {
-        let mut stats = [[0.0; 3]; 2];
-        let mut identical = true;
-        for (side, runs) in sides.iter().enumerate() {
-            let mut times = Vec::new();
-            for run in runs {
-                let l = &run[i];
-                assert_eq!(
-                    (&l.name, &l.shape),
-                    (&line.name, &line.shape),
-                    "sets differ"
-                );
-                identical &= l.digest == line.digest;
-                times.push(l.seconds);
-            }
-            stats[side] = quartiles(&times);
-        }
-        all_identical &= identical;
+    for (i, row) in rows.iter().enumerate() {
+        let [name, runs, shape, _, digest] = row.fields.as_slice() else {
+            panic!("malformed harness line {:?}", row.fields);
+        };
+        let (base, cand) = (row.stats[0][0], row.stats[1][0]);
         let side_json = |[m, q1, q3]: [f64; 3]| {
             format!("{{\"median_s\": {m:.4}, \"q1_s\": {q1:.4}, \"q3_s\": {q3:.4}}}")
         };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"runs\": {}, {}, \"baseline\": {}, \"candidate\": {}, \
-             \"ratio\": {:.3}, \"identical\": {identical}, \"digest\": \"{}\"}}{}",
-            line.name,
-            line.runs,
-            line.shape,
-            side_json(stats[0]),
-            side_json(stats[1]),
-            stats[0][0] / stats[1][0],
-            line.digest,
-            if i + 1 < first.len() { "," } else { "" },
+            "    {{\"name\": \"{name}\", \"runs\": {runs}, {shape}, \"baseline\": {}, \
+             \"candidate\": {}, \"ratio\": {:.3}, \"identical\": {}, \"digest\": \"{digest}\"}}{}",
+            side_json(row.stats[0]),
+            side_json(row.stats[1]),
+            base / cand,
+            row.identical,
+            if i + 1 < rows.len() { "," } else { "" },
         );
         println!(
-            "{:<24} baseline {:>8.3} s  candidate {:>8.3} s  {:>5.2}x  identical {identical}",
-            line.name,
-            stats[0][0],
-            stats[1][0],
-            stats[0][0] / stats[1][0]
+            "{name:<24} baseline {base:>8.3} s  candidate {cand:>8.3} s  {:>5.2}x  identical {}",
+            base / cand,
+            row.identical
         );
     }
     json.push_str("  ]\n}\n");
     std::fs::write(out_path, &json).expect("write benchmark output");
     eprintln!("[bench_svm] wrote {out_path}");
-    assert!(all_identical, "the two builds trained different models");
+    assert!(
+        rows.iter().all(|r| r.identical),
+        "the two builds trained different models"
+    );
 }
 
 fn main() {
-    let reps: usize = std::env::var("IPAS_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let reps = bench_reps(5);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [flag, baseline, rest @ ..] if flag == "--compare" && rest.len() <= 1 => {

@@ -29,6 +29,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::process::Command;
 
 use ipas_core::{run_experiment, ExperimentOptions, ExperimentResult};
 use ipas_faultsim::{margin_of_error, Engine, FaultModel, Outcome};
@@ -453,9 +454,138 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// `IPAS_BENCH_REPS`: the timed repetitions of a `bench_*` harness, or
+/// its alternating pairs with `--compare`; `default` when unset.
+pub fn bench_reps(default: usize) -> usize {
+    std::env::var("IPAS_BENCH_REPS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+        .max(1)
+}
+
+/// Median and quartiles of `samples` (linear interpolation between
+/// order statistics), as `[median, q1, q3]`.
+///
+/// # Panics
+///
+/// When `samples` is empty.
+pub fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let pos = p * (s.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+    };
+    [at(0.5), at(0.25), at(0.75)]
+}
+
+/// One measured row of a `--compare` run, over every run of both builds.
+pub struct ComparedRow {
+    /// The row's fields, as the candidate's first run printed them.
+    pub fields: Vec<String>,
+    /// `[median, q1, q3]` of the row's time, baseline then candidate.
+    pub stats: [[f64; 3]; 2],
+    /// Whether every run of both builds printed the same fields, the
+    /// time aside.
+    pub identical: bool,
+}
+
+/// The `--compare` mode of the `bench_*` harnesses. Runs `baseline`
+/// (the same harness built from another revision) and this executable
+/// alternately, `pairs` pairs, swapping which goes first every pair.
+/// Each run gets a scratch report path as its one argument and
+/// `IPAS_BENCH_REPS=reps`, and prints one tab-separated line per
+/// measured row on stdout: the row's name first, its time in seconds
+/// at field `seconds`. `tag` prefixes the progress lines.
+///
+/// # Panics
+///
+/// When a run fails, or the runs disagree on the rows they measure.
+pub fn compare_runs(
+    tag: &str,
+    baseline: &str,
+    pairs: usize,
+    reps: usize,
+    seconds: usize,
+) -> Vec<ComparedRow> {
+    let candidate = std::env::current_exe().expect("own executable path");
+    let candidate = candidate.to_str().expect("UTF-8 executable path");
+    // sides[0] = baseline, sides[1] = candidate; each a list of runs.
+    let mut sides: [Vec<Vec<Vec<String>>>; 2] = [Vec::new(), Vec::new()];
+    for pair in 0..pairs {
+        // Swap which side goes first each pair.
+        let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            let bin = if side == 0 { baseline } else { candidate };
+            eprintln!("[{tag}] pair {} of {pairs}: {bin}", pair + 1);
+            sides[side].push(run_harness(tag, bin, reps));
+        }
+    }
+    let first = &sides[1][0];
+    let names = |run: &[Vec<String>]| run.iter().map(|f| f[0].clone()).collect::<Vec<_>>();
+    for run in sides.iter().flatten() {
+        assert_eq!(
+            names(run),
+            names(first),
+            "the builds measure different rows"
+        );
+    }
+    let same = |a: &[String], b: &[String]| {
+        a.len() == b.len() && (0..a.len()).all(|j| j == seconds || a[j] == b[j])
+    };
+    first
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut stats = [[0.0; 3]; 2];
+            let mut identical = true;
+            for (side, runs) in sides.iter().enumerate() {
+                let times: Vec<f64> = runs
+                    .iter()
+                    .map(|run| {
+                        identical &= same(&run[i], row);
+                        run[i][seconds].parse().expect("time in seconds")
+                    })
+                    .collect();
+                stats[side] = quartiles(&times);
+            }
+            ComparedRow {
+                fields: row.clone(),
+                stats,
+                identical,
+            }
+        })
+        .collect()
+}
+
+/// Runs one harness binary; returns its stdout lines split at tabs.
+fn run_harness(tag: &str, bin: &str, reps: usize) -> Vec<Vec<String>> {
+    let report = std::env::temp_dir().join(format!("{tag}_side_{}.json", std::process::id()));
+    let out = Command::new(bin)
+        .arg(&report)
+        .env("IPAS_BENCH_REPS", reps.to_string())
+        .output()
+        .unwrap_or_else(|e| panic!("run {bin}: {e}"));
+    let _ = std::fs::remove_file(&report);
+    assert!(out.status.success(), "{bin} failed: {}", out.status);
+    String::from_utf8(out.stdout)
+        .expect("harness output is UTF-8")
+        .lines()
+        .map(|line| line.split('\t').map(str::to_string).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), [2.5, 1.75, 3.25]);
+        assert_eq!(quartiles(&[7.0]), [7.0, 7.0, 7.0]);
+    }
 
     fn sample_summary() -> ExperimentSummary {
         ExperimentSummary {
