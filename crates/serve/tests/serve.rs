@@ -409,6 +409,27 @@ fn tenant_quotas_refuse_over_budget_submissions() {
     daemon.join().unwrap();
 }
 
+#[test]
+fn connections_are_accepted_on_arrival() {
+    // Each round trip's connection arrives just after the accept loop
+    // has gone back to waiting. A loop that sleeps a fixed 25 ms per
+    // idle turn makes 40 round trips take about a second; one that
+    // waits on the listener answers them in a few milliseconds.
+    let dir = test_dir("accept");
+    let (daemon, client) = start_daemon(config(&dir, 1, 8));
+    let start = Instant::now();
+    for _ in 0..40 {
+        client.stats().unwrap();
+    }
+    let elapsed = start.elapsed();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 stats round trips took {elapsed:?}"
+    );
+}
+
 /// A float kernel whose outcomes depend on the verifier's tolerance.
 const FLOAT_SOURCE: &str = "fn main() -> int {
     let n: int = 24;
