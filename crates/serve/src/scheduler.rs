@@ -21,13 +21,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct Inner {
     shards: Vec<Mutex<VecDeque<Task>>>,
-    /// Wakes idle workers on submit and on drain.
+    /// Wakes idle workers on submit and on drain. Both ring the bell
+    /// while holding the gate.
     gate: Mutex<()>,
     bell: Condvar,
     draining: AtomicBool,
@@ -54,6 +54,31 @@ impl Inner {
             }
         }
         None
+    }
+
+    /// The worker's next task: [`Inner::grab`], else wait on the bell
+    /// until one is queued. `None` once the pool drains.
+    fn next_task(&self, home: usize) -> Option<Task> {
+        if self.draining.load(Ordering::Acquire) {
+            return None;
+        }
+        if let Some(task) = self.grab(home) {
+            return Some(task);
+        }
+        let mut guard = lock(&self.gate);
+        loop {
+            // Re-check under the gate. A submit or drain that the empty
+            // grab above missed either shows here or rings the bell
+            // after this worker is waiting, so no wake-up is lost and
+            // the wait needs no timeout.
+            if self.draining.load(Ordering::Acquire) {
+                return None;
+            }
+            if let Some(task) = self.grab(home) {
+                return Some(task);
+            }
+            guard = self.bell.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
     }
 }
 
@@ -90,29 +115,10 @@ impl Scheduler {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || {
                     let home = w % inner.shards.len();
-                    loop {
-                        if inner.draining.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match inner.grab(home) {
-                            // Panic isolation: a dying task must not
-                            // take its worker thread with it.
-                            Some(task) => {
-                                let _ =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                            }
-                            None => {
-                                let guard = lock(&inner.gate);
-                                // Re-check under the gate so a submit
-                                // racing the empty check cannot strand
-                                // its wake-up; the timeout bounds any
-                                // remaining miss.
-                                if inner.draining.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let _ = inner.bell.wait_timeout(guard, Duration::from_millis(50));
-                            }
-                        }
+                    while let Some(task) = inner.next_task(home) {
+                        // Panic isolation: a dying task must not take
+                        // its worker thread with it.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
                     }
                 })
             })
@@ -134,6 +140,7 @@ impl Scheduler {
     pub fn submit_to(&self, shard: usize, task: impl FnOnce() + Send + 'static) {
         let n = self.inner.shards.len();
         lock(&self.inner.shards[shard % n]).push_back(Box::new(task));
+        let _gate = lock(&self.inner.gate);
         self.inner.bell.notify_one();
     }
 
@@ -162,6 +169,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn runs_all_submitted_tasks() {
@@ -230,6 +238,30 @@ mod tests {
         assert_eq!(done.load(Ordering::SeqCst), started.load(Ordering::SeqCst));
         assert!(left >= 1, "drain must leave queued tasks for restart");
         assert_eq!(left, 6 - started.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn every_submit_wakes_an_idle_worker() {
+        // Each round trip submits one task and waits for it, so the
+        // next submit lands just as the workers go idle: the window a
+        // lost wake-up needs. Idle workers wait without a timeout, so
+        // a lost wake-up hangs its round trip until `recv_timeout`.
+        for threads in [1, 2] {
+            let pool = Scheduler::new(threads, threads);
+            let (tx, rx) = std::sync::mpsc::channel();
+            for i in 0..3000 {
+                let tx = tx.clone();
+                pool.submit(move || {
+                    let _ = tx.send(i);
+                });
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_secs(10)),
+                    Ok(i),
+                    "task {i} on {threads} worker(s) never ran: a lost wake-up"
+                );
+            }
+            assert_eq!(pool.drain(), 0);
+        }
     }
 
     #[test]
