@@ -390,13 +390,13 @@ fn measure(out_path: &str, rounds: usize) {
 
 /// Alternates runs of `baseline` and this executable, `pairs` pairs.
 fn compare(baseline: &str, out_path: &str, pairs: usize) {
-    let rows = compare_runs("bench_store", baseline, pairs, 9, 3);
+    let rows = compare_runs("bench_store", baseline, pairs, 9, 3, &[]);
     let mut json = String::new();
     header(&mut json, pairs);
     json.push_str("  \"sets\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let [name, ops, bytes, _, digest] = row.fields.as_slice() else {
-            panic!("malformed harness line {:?}", row.fields);
+        let [name, ops, bytes, _, digest] = row.fields[1].as_slice() else {
+            panic!("malformed harness line {:?}", row.fields[1]);
         };
         let (base, cand) = (row.stats[0][0], row.stats[1][0]);
         let side_json = |[m, q1, q3]: [f64; 3]| {

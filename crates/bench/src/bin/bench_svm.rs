@@ -273,13 +273,13 @@ fn measure(out_path: &str, reps: usize) {
 
 /// Alternates runs of `baseline` and this executable, `reps` pairs.
 fn compare(baseline: &str, out_path: &str, reps: usize) {
-    let rows = compare_runs("bench_svm", baseline, reps, 1, 3);
+    let rows = compare_runs("bench_svm", baseline, reps, 1, 3, &[]);
     let mut json = String::new();
     header(&mut json, reps);
     json.push_str("  \"sets\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let [name, runs, shape, _, digest] = row.fields.as_slice() else {
-            panic!("malformed harness line {:?}", row.fields);
+        let [name, runs, shape, _, digest] = row.fields[1].as_slice() else {
+            panic!("malformed harness line {:?}", row.fields[1]);
         };
         let (base, cand) = (row.stats[0][0], row.stats[1][0]);
         let side_json = |[m, q1, q3]: [f64; 3]| {

@@ -483,12 +483,13 @@ pub fn quartiles(samples: &[f64]) -> [f64; 3] {
 
 /// One measured row of a `--compare` run, over every run of both builds.
 pub struct ComparedRow {
-    /// The row's fields, as the candidate's first run printed them.
-    pub fields: Vec<String>,
+    /// The row's fields as each build's first run printed them,
+    /// baseline then candidate.
+    pub fields: [Vec<String>; 2],
     /// `[median, q1, q3]` of the row's time, baseline then candidate.
     pub stats: [[f64; 3]; 2],
     /// Whether every run of both builds printed the same fields, the
-    /// time aside.
+    /// time aside, and the per-build fields alike within each build.
     pub identical: bool,
 }
 
@@ -498,7 +499,9 @@ pub struct ComparedRow {
 /// Each run gets a scratch report path as its one argument and
 /// `IPAS_BENCH_REPS=reps`, and prints one tab-separated line per
 /// measured row on stdout: the row's name first, its time in seconds
-/// at field `seconds`. `tag` prefixes the progress lines.
+/// at field `seconds`. The fields at `per_build` describe the build
+/// (say, how much state it keeps): each build's runs must agree on
+/// them, the two builds need not. `tag` prefixes the progress lines.
 ///
 /// # Panics
 ///
@@ -509,6 +512,7 @@ pub fn compare_runs(
     pairs: usize,
     reps: usize,
     seconds: usize,
+    per_build: &[usize],
 ) -> Vec<ComparedRow> {
     let candidate = std::env::current_exe().expect("own executable path");
     let candidate = candidate.to_str().expect("UTF-8 executable path");
@@ -523,36 +527,37 @@ pub fn compare_runs(
             sides[side].push(run_harness(tag, bin, reps));
         }
     }
-    let first = &sides[1][0];
     let names = |run: &[Vec<String>]| run.iter().map(|f| f[0].clone()).collect::<Vec<_>>();
     for run in sides.iter().flatten() {
         assert_eq!(
             names(run),
-            names(first),
+            names(&sides[1][0]),
             "the builds measure different rows"
         );
     }
-    let same = |a: &[String], b: &[String]| {
-        a.len() == b.len() && (0..a.len()).all(|j| j == seconds || a[j] == b[j])
+    // Fields compared within one build, and across the two.
+    let same = |a: &[String], b: &[String], across: bool| {
+        a.len() == b.len()
+            && (0..a.len())
+                .all(|j| j == seconds || (across && per_build.contains(&j)) || a[j] == b[j])
     };
-    first
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
+    (0..sides[1][0].len())
+        .map(|i| {
+            let fields = [sides[0][0][i].clone(), sides[1][0][i].clone()];
             let mut stats = [[0.0; 3]; 2];
-            let mut identical = true;
+            let mut identical = same(&fields[0], &fields[1], true);
             for (side, runs) in sides.iter().enumerate() {
                 let times: Vec<f64> = runs
                     .iter()
                     .map(|run| {
-                        identical &= same(&run[i], row);
+                        identical &= same(&run[i], &fields[side], false);
                         run[i][seconds].parse().expect("time in seconds")
                     })
                     .collect();
                 stats[side] = quartiles(&times);
             }
             ComparedRow {
-                fields: row.clone(),
+                fields,
                 stats,
                 identical,
             }

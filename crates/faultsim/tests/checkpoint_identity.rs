@@ -13,8 +13,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ipas_faultsim::{
-    run_campaign_with, CampaignConfig, CampaignOptions, CampaignResult, CheckpointStats, Engine,
-    FaultModel, GoldenToleranceVerifier, Outcome, OutputVerifier, SamplingMode, Workload,
+    run_campaign_with, CampaignConfig, CampaignOptions, CampaignResult, CheckpointStats,
+    CompiledCampaign, Engine, FaultModel, GoldenToleranceVerifier, Outcome, OutputVerifier,
+    SamplingMode, Workload,
 };
 use ipas_interp::{
     CompiledMachine, CompiledProgram, Injection, Ladder, Machine, RunConfig, RunOutput, RunStatus,
@@ -412,18 +413,22 @@ fn ladder_stays_within_its_limits() {
     assert!(ladder.bytes() <= MAX_LADDER_BYTES);
     assert!((1..ladder.len()).all(|k| ladder.position(k - 1) < ladder.position(k)));
 
-    const BIG_SRC: &str = r#"
-fn main() -> int {
-    let n: int = 40000 + mpi_rank();
+    // One cell more than the cap holds bytes: an image of the array
+    // alone is over the cap.
+    let big_src = format!(
+        r#"
+fn main() -> int {{
+    let n: int = {} + mpi_rank();
     let a: [float] = new_float(n);
-    for (let i: int = 0; i < n; i = i + 1) { a[i] = itof(i) * 0.5; }
+    for (let i: int = 0; i < n; i = i + 1) {{ a[i] = itof(i) * 0.5; }}
     output_f(a[7] + a[n - 1]);
     free_arr(a);
     return 0;
-}
-"#;
-    // 40,000 cells are 320,000 bytes: more than the cap on their own.
-    let p = prepare(BIG_SRC);
+}}
+"#,
+        MAX_LADDER_BYTES / 8 + 1
+    );
+    let p = prepare(&big_src);
     let ladder = CompiledMachine::new(&p.program)
         .capture_ladder(&RunConfig::default(), p.golden.dynamic_insts / 16)
         .unwrap()
@@ -437,6 +442,85 @@ fn main() -> int {
         fingerprint(&out),
         fingerprint(&machine.run(&config).unwrap())
     );
+}
+
+/// At ladder input 3 (the `campaign_ladder` benchmark's inputs) every
+/// kernel keeps a checkpoint at each of the 63 multiples of its
+/// campaign spacing below the nominal length, within the byte cap:
+/// consecutive snapshots share their unchanged memory chunks.
+#[test]
+fn every_kernel_keeps_its_whole_ladder_at_ladder_input_3() {
+    for kind in Kind::ALL {
+        let w = kind.build(kind.input_ladder()[2]).expect("workload builds");
+        let compiled = CompiledCampaign::prepare(
+            &w,
+            Engine::Compiled,
+            &CampaignOptions::default(),
+            [Injection::at_global_index(0, 0)],
+        )
+        .expect("compiled engine");
+        let ladder = compiled.ladder().expect("golden run completes");
+        eprintln!(
+            "{} {}: {} snapshots, {} bytes",
+            w.name,
+            kind.input_ladder()[2],
+            ladder.len(),
+            ladder.bytes()
+        );
+        assert_eq!(ladder.len(), MAX_CHECKPOINTS - 1, "{}", w.name);
+        assert!(ladder.bytes() <= MAX_LADDER_BYTES, "{}", w.name);
+    }
+}
+
+/// A ladder over memory that never changes after its allocation holds
+/// the image once: every later snapshot shares all its chunks, so it
+/// adds its chunk pointers and machine state, far less than a copy.
+#[test]
+fn unchanged_memory_is_counted_once() {
+    const CELLS: usize = 1 << 15;
+    let src = format!(
+        r#"
+fn main() -> int {{
+    let n: int = {CELLS} + mpi_rank();
+    let a: [float] = new_float(n);
+    let s: float = 0.0;
+    for (let i: int = 0; i < n; i = i + 1) {{ s = s + a[i]; }}
+    output_f(s);
+    free_arr(a);
+    return 0;
+}}
+"#
+    );
+    let p = prepare(&src);
+    let spacing = p.golden.dynamic_insts.div_ceil(MAX_CHECKPOINTS as u64);
+    let ladder = CompiledMachine::new(&p.program)
+        .capture_ladder(&RunConfig::default(), spacing)
+        .unwrap()
+        .expect("golden run completes");
+    let image = CELLS * 8;
+    assert_eq!(ladder.len(), MAX_CHECKPOINTS - 1);
+    assert!(
+        ladder.len() * image > MAX_LADDER_BYTES,
+        "unshared copies would not fit the cap"
+    );
+    assert!(ladder.bytes() > image, "{} bytes", ladder.bytes());
+    assert!(
+        ladder.bytes() < image + ladder.len() * image / 8,
+        "{} bytes for {} snapshots of a {image}-byte image",
+        ladder.bytes(),
+        ladder.len()
+    );
+    // Resuming from the shared snapshots still reproduces full runs.
+    let mut machine = CompiledMachine::new(&p.program);
+    for target in [p.golden.eligible_results / 2, p.golden.eligible_results - 2] {
+        let config = plan_config(&p.golden, Injection::at_global_index(target, 52));
+        let (out, skipped) = machine.run_checkpointed(&config, &ladder).unwrap();
+        assert!(skipped.prefix > 0);
+        assert_eq!(
+            fingerprint(&out),
+            fingerprint(&machine.run(&config).unwrap())
+        );
+    }
 }
 
 /// Wall-clock-guarded and site-restricted runs bypass the ladder: they

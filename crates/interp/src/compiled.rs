@@ -80,9 +80,9 @@ use ipas_ir::{
 use crate::env::{Env, SerialEnv};
 use crate::machine::{
     exec_intrinsic, is_fault_site, no_such_function, validate_entry, HotCounters, Injection,
-    OutputStream, RunConfig, RunError, RunOutput, RunState, SiteClass, Stop, MAX_CALL_DEPTH,
+    RunConfig, RunError, RunOutput, RunState, SiteClass, Stop, MAX_CALL_DEPTH,
 };
-use crate::memory::{gep_addr, Memory, POISON_ADDR};
+use crate::memory::{gep_addr, Image, Memory, POISON_ADDR};
 use crate::rtval::RtVal;
 use crate::trap::Trap;
 
@@ -1116,7 +1116,7 @@ impl<'p> CompiledMachine<'p> {
         }
         let mut state = RunState::start(memory, config, &mut env);
         if let Some(s) = snapshot {
-            self.restore(&mut state, s);
+            self.restore(&mut state, s, &ladder.golden);
         }
         let next = start.map_or(0, |k| k + 1);
         state.checkpoint_stop = ladder.stop_at(next);
@@ -1181,14 +1181,18 @@ impl<'p> CompiledMachine<'p> {
     }
 
     /// Loads a checkpoint's machine state and counters (its memory is
-    /// already in `state`). The watermark is re-armed by the caller:
-    /// it depends on the resumed run's own budget.
-    fn restore(&mut self, state: &mut RunState<'_>, s: &Snapshot) {
+    /// already in `state`), and its outputs and console as prefixes of
+    /// the ladder's `golden` run. The watermark is re-armed by the
+    /// caller: it depends on the resumed run's own budget.
+    fn restore(&mut self, state: &mut RunState<'_>, s: &Snapshot, golden: &RunOutput) {
         self.frames.clone_from(&s.frames);
         self.stack.clone_from(&s.stack);
         self.allocas.clone_from(&s.allocas);
-        state.outputs.clone_from(&s.outputs);
-        state.console.clone_from(&s.console);
+        state.outputs.restore_prefix(&golden.outputs, s.outputs);
+        state.console.clear();
+        state
+            .console
+            .extend_from_slice(&golden.console[..s.console]);
         state.dynamic_insts = s.dynamic_insts;
         [
             state.eligible_results,
@@ -1199,8 +1203,16 @@ impl<'p> CompiledMachine<'p> {
     }
 
     /// Copies the machine and run state at an instruction boundary
-    /// (`dynamic_insts` = `at`, about to execute `pc` of the top frame).
-    fn snapshot(&self, state: &RunState<'_>, at: u64, pc: usize) -> Snapshot {
+    /// (`dynamic_insts` = `at`, about to execute `pc` of the top frame),
+    /// sharing the memory chunks that `prev`, the ladder's latest
+    /// snapshot, already holds.
+    fn snapshot(
+        &self,
+        state: &RunState<'_>,
+        at: u64,
+        pc: usize,
+        prev: Option<&Snapshot>,
+    ) -> Snapshot {
         let mut frames = self.frames.clone();
         frames.last_mut().expect("a running frame").pc = pc;
         Snapshot {
@@ -1209,15 +1221,16 @@ impl<'p> CompiledMachine<'p> {
             frames,
             stack: self.stack.clone(),
             allocas: self.allocas.clone(),
-            memory: state.memory.save_image(),
-            outputs: state.outputs.clone(),
-            console: state.console.clone(),
+            memory: state.memory.save_image(prev.map(|p| &p.memory)),
+            outputs: state.outputs.len(),
+            console: state.console.len(),
         }
     }
 
     /// The full-state compare: `true` when the run at this boundary is
-    /// exactly checkpoint `s`. Cheap fields first; nothing is hashed.
-    fn matches(&self, state: &RunState<'_>, pc: usize, s: &Snapshot) -> bool {
+    /// exactly checkpoint `s` of a ladder whose clean run is `golden`.
+    /// Cheap fields first; nothing is hashed.
+    fn matches(&self, state: &RunState<'_>, pc: usize, s: &Snapshot, golden: &RunOutput) -> bool {
         let top = s.frames.len() - 1;
         counters(state) == s.counters
             && self.frames.len() == s.frames.len()
@@ -1227,8 +1240,8 @@ impl<'p> CompiledMachine<'p> {
             && Frame { pc, ..self.frames[top] } == s.frames[top]
             && self.allocas == s.allocas
             && self.stack == s.stack
-            && state.outputs.same_bits(&s.outputs)
-            && state.console == s.console
+            && state.outputs.same_bits(&golden.outputs, s.outputs)
+            && state.console == golden.console[..s.console]
             && state.memory.matches_image(&s.memory)
     }
 
@@ -1264,7 +1277,7 @@ impl<'p> CompiledMachine<'p> {
             state.checkpoint_stop = match cp {
                 Checkpoints::Off => u64::MAX,
                 Checkpoints::Capture(capture) => {
-                    let snapshot = self.snapshot(state, at, pc);
+                    let snapshot = self.snapshot(state, at, pc, capture.snapshots.last());
                     capture.push(snapshot, at);
                     capture.stop()
                 }
@@ -1281,7 +1294,7 @@ impl<'p> CompiledMachine<'p> {
                         // only a post-injection match proves anything.
                         if s.dynamic_insts == at
                             && state.injected_site.is_some()
-                            && self.matches(state, pc, s)
+                            && self.matches(state, pc, s, &ladder.golden)
                         {
                             return Err(Stop::Reconverged);
                         }
@@ -1860,7 +1873,7 @@ fn counters(state: &RunState<'_>) -> [u64; 4] {
 /// Most checkpoints one ladder keeps.
 pub const MAX_CHECKPOINTS: usize = 64;
 /// Most snapshot bytes one ladder keeps (see [`Ladder::bytes`]).
-pub const MAX_LADDER_BYTES: usize = 1 << 18;
+pub const MAX_LADDER_BYTES: usize = 1 << 21;
 
 /// The whole state of a run at one instruction boundary.
 #[derive(Debug)]
@@ -1873,28 +1886,45 @@ struct Snapshot {
     frames: Vec<Frame>,
     stack: Vec<u64>,
     allocas: Vec<u64>,
-    /// The [`Memory`] image ([`Memory::save_image`]).
-    memory: Vec<u64>,
-    outputs: OutputStream,
-    console: Vec<String>,
+    /// The [`Memory`] image, sharing unchanged chunks with the previous
+    /// snapshot's.
+    memory: Image,
+    /// Output items emitted so far: a prefix of the golden run's, as
+    /// both streams are append-only.
+    outputs: usize,
+    /// Console lines printed so far, likewise a golden prefix.
+    console: usize,
 }
 
 impl Snapshot {
-    /// Bytes this snapshot holds, the unit of [`MAX_LADDER_BYTES`].
-    fn bytes(&self) -> usize {
+    /// Bytes this snapshot adds to a ladder whose previous snapshot is
+    /// `prev`, the unit of [`MAX_LADDER_BYTES`]: its own machine state
+    /// and memory-chunk pointers, plus the chunks it does not share
+    /// with `prev`.
+    fn bytes(&self, prev: Option<&Snapshot>) -> usize {
         std::mem::size_of::<Snapshot>()
             + self.frames.len() * std::mem::size_of::<Frame>()
-            + (self.stack.len() + self.allocas.len() + self.memory.len()) * 8
-            + self.outputs.len() * 16
-            + self.console.iter().map(String::len).sum::<usize>()
+            + (self.stack.len() + self.allocas.len()) * 8
+            + self.memory.bytes_over(prev.map(|p| &p.memory))
     }
 }
 
+/// Bytes a ladder of `snapshots` holds: each shared chunk counts once.
+fn ladder_bytes(snapshots: &[Snapshot]) -> usize {
+    std::iter::once(None)
+        .chain(snapshots.iter().map(Some))
+        .zip(snapshots)
+        .map(|(prev, s)| s.bytes(prev))
+        .sum()
+}
+
 /// Golden-state checkpoints of one clean run, captured by
-/// [`CompiledMachine::capture_ladder`]: full snapshots of the machine
+/// [`CompiledMachine::capture_ladder`]: snapshots of the whole machine
 /// and run state at instruction boundaries, in execution order, plus
-/// the run's golden completion. Immutable once captured, so campaign
-/// workers share one ladder read-only.
+/// the run's golden completion. Consecutive snapshots share their
+/// unchanged memory chunks, and their outputs and console are prefixes
+/// of the golden run's. Immutable once captured, so campaign workers
+/// share one ladder read-only.
 #[derive(Debug)]
 pub struct Ladder {
     entry: String,
@@ -1916,7 +1946,8 @@ impl Ladder {
         self.snapshots.is_empty()
     }
 
-    /// Snapshot bytes held, at most [`MAX_LADDER_BYTES`].
+    /// Snapshot bytes held, each shared memory chunk counted once; at
+    /// most [`MAX_LADDER_BYTES`].
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -2017,7 +2048,7 @@ impl Capture {
     /// Records the snapshot taken at `at` and thins the ladder back
     /// under its limits.
     fn push(&mut self, snapshot: Snapshot, at: u64) {
-        self.bytes += snapshot.bytes();
+        self.bytes += snapshot.bytes(self.snapshots.last());
         self.snapshots.push(snapshot);
         while self.snapshots.len() > MAX_CHECKPOINTS || self.bytes > MAX_LADDER_BYTES {
             if self.snapshots.len() == 1 {
@@ -2032,7 +2063,7 @@ impl Capture {
                 k += 1;
                 k % 2 == 0
             });
-            self.bytes = self.snapshots.iter().map(Snapshot::bytes).sum();
+            self.bytes = ladder_bytes(&self.snapshots);
             self.spacing = self.spacing.saturating_mul(2);
         }
         self.next_at = (at / self.spacing + 1).saturating_mul(self.spacing);

@@ -407,19 +407,26 @@ impl OutputStream {
             .collect()
     }
 
-    /// Bit-exact equality: unlike `==`, tells `-0.0` from `0.0` and
-    /// matches identical NaN payloads.
-    pub(crate) fn same_bits(&self, other: &OutputStream) -> bool {
-        self.items.len() == other.items.len()
+    /// Bit-exact equality with the first `len` items of `golden`:
+    /// unlike `==`, tells `-0.0` from `0.0` and matches identical NaN
+    /// payloads only.
+    pub(crate) fn same_bits(&self, golden: &OutputStream, len: usize) -> bool {
+        self.items.len() == len
             && self
                 .items
                 .iter()
-                .zip(&other.items)
+                .zip(&golden.items[..len])
                 .all(|(a, b)| match (a, b) {
                     (OutItem::I(x), OutItem::I(y)) => x == y,
                     (OutItem::F(x), OutItem::F(y)) => x.to_bits() == y.to_bits(),
                     _ => false,
                 })
+    }
+
+    /// Replaces the contents with the first `len` items of `golden`.
+    pub(crate) fn restore_prefix(&mut self, golden: &OutputStream, len: usize) {
+        self.items.clear();
+        self.items.extend_from_slice(&golden.items[..len]);
     }
 
     fn push_i(&mut self, v: i64) {

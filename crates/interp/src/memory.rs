@@ -12,6 +12,8 @@
 //! paper's fault model, so the injector never corrupts memory contents
 //! directly — only computed values (including addresses) in registers.
 
+use std::sync::Arc;
+
 use crate::trap::Trap;
 
 /// Number of address bits given to the in-region byte offset.
@@ -144,49 +146,70 @@ impl Memory {
         self.regions.iter().filter(|r| r.is_some()).count()
     }
 
-    /// A flat image of the whole region table: the region count, then
-    /// per region its cell count ([`FREED`] once freed) followed by its
-    /// cells. One exactly-sized buffer per image keeps a golden
-    /// checkpoint's memory to a single allocation.
-    pub(crate) fn save_image(&self) -> Vec<u64> {
-        let cells: usize = self.regions.iter().flatten().map(|r| r.len()).sum();
-        let mut out = Vec::with_capacity(1 + self.regions.len() + cells);
-        out.push(self.regions.len() as u64);
-        for region in &self.regions {
-            match region {
-                Some(cells) => {
-                    out.push(cells.len() as u64);
-                    out.extend_from_slice(cells);
+    /// An image of the whole region table that shares with `prev`
+    /// (normally the previous image of the same run) every chunk whose
+    /// cells are unchanged at the same region and offset, and copies
+    /// only the others. Live regions are compared in place: nothing is
+    /// flattened or hashed.
+    pub(crate) fn save_image(&self, prev: Option<&Image>) -> Image {
+        let regions = self
+            .regions
+            .iter()
+            .enumerate()
+            .map(|(k, region)| {
+                let cells = region.as_deref()?;
+                let before = prev.map_or(&[][..], |p| p.region(k));
+                let chunks = cells
+                    .chunks(CHUNK_CELLS)
+                    .enumerate()
+                    .map(|(j, cells)| match before.get(j) {
+                        Some(chunk) if **chunk == *cells => Arc::clone(chunk),
+                        _ => Arc::from(cells),
+                    })
+                    .collect();
+                Some(chunks)
+            })
+            .collect();
+        Image { regions }
+    }
+
+    /// Replaces the contents with `image`, copying in place into
+    /// regions whose size already matches.
+    pub(crate) fn load_image(&mut self, image: &Image) {
+        self.regions.truncate(image.regions.len());
+        for (k, saved) in image.regions.iter().enumerate() {
+            let saved = saved.as_deref();
+            match (self.regions.get_mut(k), saved) {
+                (Some(Some(r)), Some(chunks)) if r.len() == cell_count(chunks) => {
+                    for (cells, chunk) in r.chunks_mut(CHUNK_CELLS).zip(chunks) {
+                        cells.copy_from_slice(chunk);
+                    }
                 }
-                None => out.push(FREED),
-            }
-        }
-        out
-    }
-
-    /// Replaces the contents with a [`Memory::save_image`] image,
-    /// copying in place into regions whose size already matches.
-    pub(crate) fn load_image(&mut self, image: &[u64]) {
-        let mut words = ImageWords::new(image);
-        self.regions.truncate(words.count);
-        for k in 0..words.count {
-            let cells = words.next_region();
-            match (self.regions.get_mut(k), cells) {
-                (Some(Some(r)), Some(cells)) if r.len() == cells.len() => r.copy_from_slice(cells),
-                (Some(slot), cells) => *slot = cells.map(Box::from),
-                (None, cells) => self.regions.push(cells.map(Box::from)),
+                (Some(slot), chunks) => *slot = chunks.map(|c| c.concat().into_boxed_slice()),
+                (None, chunks) => self
+                    .regions
+                    .push(chunks.map(|c| c.concat().into_boxed_slice())),
             }
         }
     }
 
-    /// `true` when [`Memory::save_image`] would produce exactly `image`.
-    pub(crate) fn matches_image(&self, image: &[u64]) -> bool {
-        let mut words = ImageWords::new(image);
-        words.count == self.regions.len()
+    /// `true` when the contents equal `image` bit for bit: every region
+    /// is live or freed alike, and every live region has the image's
+    /// cells. Stops at the first difference; a chunk shared between
+    /// images is compared like any other.
+    pub(crate) fn matches_image(&self, image: &Image) -> bool {
+        self.regions.len() == image.regions.len()
             && self
                 .regions
                 .iter()
-                .all(|region| region.as_deref() == words.next_region())
+                .zip(&image.regions)
+                .all(|(region, saved)| match (region, saved) {
+                    (Some(cells), Some(chunks)) => cells
+                        .chunks(CHUNK_CELLS)
+                        .eq(chunks.iter().map(|chunk| &chunk[..])),
+                    (None, None) => true,
+                    _ => false,
+                })
     }
 
     fn split(addr: u64) -> (usize, usize) {
@@ -223,34 +246,58 @@ impl Memory {
     }
 }
 
-/// Cell-count marker of a freed region in a memory image.
-const FREED: u64 = u64::MAX;
+/// Cells per [`Image`] chunk: 512 bytes.
+const CHUNK_CELLS: usize = 64;
 
-/// Reader over a [`Memory::save_image`] image.
-struct ImageWords<'a> {
-    count: usize,
-    rest: &'a [u64],
+/// One image chunk, shared between the images whose cells it holds.
+type Chunk = Arc<[u64]>;
+
+/// A saved [`Memory`] region table ([`Memory::save_image`]): per region
+/// its cells in chunks of [`CHUNK_CELLS`] aligned to the region's start
+/// (its last chunk may be shorter), or `None` once freed. Aligning to
+/// each region keeps one region's allocation or release from shifting
+/// another's chunks, so consecutive images of one run share every chunk
+/// that did not change. Immutable, so images are `Send + Sync`.
+#[derive(Debug, Default)]
+pub(crate) struct Image {
+    regions: Vec<Option<Box<[Chunk]>>>,
 }
 
-impl<'a> ImageWords<'a> {
-    fn new(image: &'a [u64]) -> Self {
-        ImageWords {
-            count: image[0] as usize,
-            rest: &image[1..],
-        }
+impl Image {
+    /// The chunks of region `k`; none when it is freed or absent.
+    fn region(&self, k: usize) -> &[Chunk] {
+        self.regions
+            .get(k)
+            .and_then(Option::as_deref)
+            .unwrap_or(&[])
     }
 
-    /// The next region's cells, `None` for a freed one.
-    fn next_region(&mut self) -> Option<&'a [u64]> {
-        let len = self.rest[0];
-        self.rest = &self.rest[1..];
-        if len == FREED {
-            return None;
+    /// Bytes this image adds to a ladder that already holds `prev`: its
+    /// region table and chunk pointers, plus every chunk (with its
+    /// reference counts) that it does not share with `prev`. Images
+    /// share only with their predecessor, at the same region and
+    /// offset, so summing this along a ladder counts each chunk once.
+    pub(crate) fn bytes_over(&self, prev: Option<&Image>) -> usize {
+        let mut bytes = self.regions.len() * std::mem::size_of::<Option<Box<[Chunk]>>>();
+        for (k, region) in self.regions.iter().enumerate() {
+            let before = prev.map_or(&[][..], |p| p.region(k));
+            for (j, chunk) in region.iter().flatten().enumerate() {
+                bytes += std::mem::size_of::<Chunk>();
+                if !before.get(j).is_some_and(|b| Arc::ptr_eq(b, chunk)) {
+                    // The allocation holds two reference counts, then the cells.
+                    bytes += 2 * std::mem::size_of::<usize>() + chunk.len() * 8;
+                }
+            }
         }
-        let (cells, rest) = self.rest.split_at(len as usize);
-        self.rest = rest;
-        Some(cells)
+        bytes
     }
+}
+
+/// Cells held by one live region's chunks.
+fn cell_count(chunks: &[Chunk]) -> usize {
+    chunks
+        .last()
+        .map_or(0, |last| (chunks.len() - 1) * CHUNK_CELLS + last.len())
 }
 
 #[cfg(test)]
@@ -359,6 +406,144 @@ mod tests {
         assert_eq!(gep_addr(base, i64::MIN), POISON_ADDR);
         assert_eq!(gep_addr(u64::MAX - 7, 1), POISON_ADDR);
         assert_eq!(m.load(gep_addr(base, i64::MAX)), Err(Trap::OutOfBounds));
+    }
+
+    /// Stores a distinct value in every cell of the region at `base`.
+    fn fill(m: &mut Memory, base: u64, cells: usize, seed: u64) {
+        for i in 0..cells as u64 {
+            m.store(base + 8 * i, seed.wrapping_mul(1_000_003) ^ i)
+                .unwrap();
+        }
+    }
+
+    /// Every cell of every region, `None` for freed ones.
+    fn contents(m: &Memory) -> Vec<Option<Vec<u64>>> {
+        m.regions
+            .iter()
+            .map(|r| r.as_deref().map(<[u64]>::to_vec))
+            .collect()
+    }
+
+    #[test]
+    fn images_survive_alloc_free_and_realloc_between_captures() {
+        let mut m = Memory::new();
+        let a = m.alloc(8 * 200).unwrap();
+        let b = m.alloc(8 * 64).unwrap();
+        let c = m.alloc(8 * 3).unwrap();
+        fill(&mut m, a, 200, 1);
+        fill(&mut m, b, 64, 2);
+        fill(&mut m, c, 3, 3);
+        let first = m.save_image(None);
+        let first_contents = contents(&m);
+
+        // Between the captures: free one region, allocate two more, and
+        // change one cell of the first.
+        m.free(b).unwrap();
+        let d = m.alloc(8 * 130).unwrap();
+        fill(&mut m, d, 130, 4);
+        let e = m.alloc(8).unwrap();
+        m.store(e, 5).unwrap();
+        m.store(a + 8 * 70, 6).unwrap();
+        let second = m.save_image(Some(&first));
+        let second_contents = contents(&m);
+        assert!(m.matches_image(&second));
+        assert!(!m.matches_image(&first));
+        // Region a keeps its first and last chunks; its middle one changed.
+        assert!(Arc::ptr_eq(&second.region(0)[0], &first.region(0)[0]));
+        assert!(!Arc::ptr_eq(&second.region(0)[1], &first.region(0)[1]));
+        assert!(Arc::ptr_eq(&second.region(0)[3], &first.region(0)[3]));
+        assert!(second.bytes_over(Some(&first)) < second.bytes_over(None));
+
+        // Each image loads back exactly, over either state.
+        for (image, want) in [(&first, &first_contents), (&second, &second_contents)] {
+            for start in [&first, &second] {
+                let mut n = Memory::new();
+                n.load_image(start);
+                n.load_image(image);
+                assert_eq!(contents(&n), *want);
+                assert!(n.matches_image(image));
+            }
+        }
+        let mut n = Memory::new();
+        n.load_image(&first);
+        assert_eq!(
+            n.load(b + 8 * 63).unwrap(),
+            2_000_006 ^ 63,
+            "b is live again"
+        );
+        assert_eq!(n.load(d), Err(Trap::OutOfBounds), "d is not yet allocated");
+        n.load_image(&second);
+        assert_eq!(n.load(b), Err(Trap::UseAfterFree));
+        assert_eq!(n.load(e).unwrap(), 5);
+    }
+
+    #[test]
+    fn a_short_last_chunk_round_trips_and_bounds_its_region() {
+        let mut m = Memory::new();
+        // 100 cells: one full chunk and a 36-cell one.
+        let a = m.alloc(8 * 100).unwrap();
+        fill(&mut m, a, 100, 7);
+        let image = m.save_image(None);
+        assert_eq!(image.region(0).len(), 2);
+        assert_eq!(image.region(0)[1].len(), 36);
+        let mut n = Memory::new();
+        let _ = n.alloc(8 * 128).unwrap(); // same region, other size
+        n.load_image(&image);
+        assert_eq!(contents(&n), contents(&m));
+        assert_eq!(n.load(a + 8 * 99).unwrap(), m.load(a + 8 * 99).unwrap());
+        assert_eq!(n.load(a + 8 * 100), Err(Trap::OutOfBounds));
+        // A region one cell longer, equal on the common cells, differs.
+        let mut longer = Memory::new();
+        let l = longer.alloc(8 * 101).unwrap();
+        fill(&mut longer, l, 100, 7);
+        assert!(!longer.matches_image(&image));
+    }
+
+    #[test]
+    fn a_freed_region_stays_freed_through_an_image() {
+        let mut m = Memory::new();
+        let a = m.alloc(8 * 70).unwrap();
+        let b = m.alloc(8 * 2).unwrap();
+        m.free(a).unwrap();
+        m.store(b, 9).unwrap();
+        let image = m.save_image(None);
+        // A memory whose first region is still live does not match, and
+        // loading the image frees it.
+        let mut n = Memory::new();
+        let a2 = n.alloc(8 * 70).unwrap();
+        let b2 = n.alloc(8 * 2).unwrap();
+        n.store(b2, 9).unwrap();
+        assert!(!n.matches_image(&image));
+        n.load_image(&image);
+        assert!(n.matches_image(&image));
+        assert_eq!(n.load(a2), Err(Trap::UseAfterFree));
+        assert_eq!(n.free(a2), Err(Trap::BadFree));
+        assert_eq!(n.load(b2).unwrap(), 9);
+        assert_eq!(n.live_regions(), 1);
+    }
+
+    #[test]
+    fn a_cell_changed_inside_a_shared_chunk_does_not_match() {
+        let mut m = Memory::new();
+        let a = m.alloc(8 * 256).unwrap();
+        fill(&mut m, a, 256, 11);
+        let first = m.save_image(None);
+        let second = m.save_image(Some(&first));
+        // Nothing changed: every chunk is shared, and only the pointers
+        // and the region table count.
+        assert!((0..4).all(|j| Arc::ptr_eq(&second.region(0)[j], &first.region(0)[j])));
+        assert_eq!(
+            second.bytes_over(Some(&first)),
+            std::mem::size_of::<Option<Box<[Chunk]>>>() + 4 * std::mem::size_of::<Chunk>()
+        );
+        assert!(m.matches_image(&second));
+        let cell = a + 8 * 130;
+        let kept = m.load(cell).unwrap();
+        m.store(cell, kept ^ 1).unwrap();
+        assert!(!m.matches_image(&second));
+        assert!(!m.matches_image(&first));
+        m.store(cell, kept).unwrap();
+        assert!(m.matches_image(&second));
     }
 
     #[test]
