@@ -527,11 +527,12 @@ pub fn compare_runs(
             sides[side].push(run_harness(tag, bin, reps));
         }
     }
+    let first = &sides[1][0];
     let names = |run: &[Vec<String>]| run.iter().map(|f| f[0].clone()).collect::<Vec<_>>();
     for run in sides.iter().flatten() {
         assert_eq!(
             names(run),
-            names(&sides[1][0]),
+            names(first),
             "the builds measure different rows"
         );
     }
@@ -541,7 +542,7 @@ pub fn compare_runs(
             && (0..a.len())
                 .all(|j| j == seconds || (across && per_build.contains(&j)) || a[j] == b[j])
     };
-    (0..sides[1][0].len())
+    (0..first.len())
         .map(|i| {
             let fields = [sides[0][0][i].clone(), sides[1][0][i].clone()];
             let mut stats = [[0.0; 3]; 2];
