@@ -413,8 +413,8 @@ fn ladder_stays_within_its_limits() {
     assert!(ladder.bytes() <= MAX_LADDER_BYTES);
     assert!((1..ladder.len()).all(|k| ladder.position(k - 1) < ladder.position(k)));
 
-    // One cell more than the cap holds bytes: an image of the array
-    // alone is over the cap.
+    // An array one cell larger than the cap: its image alone is over
+    // the cap.
     let big_src = format!(
         r#"
 fn main() -> int {{

@@ -258,7 +258,7 @@ type Chunk = Arc<[u64]>;
 /// each region keeps one region's allocation or release from shifting
 /// another's chunks, so consecutive images of one run share every chunk
 /// that did not change. Immutable, so images are `Send + Sync`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Image {
     regions: Vec<Option<Box<[Chunk]>>>,
 }
