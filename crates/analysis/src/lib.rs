@@ -8,8 +8,6 @@
 //! * [`defuse`] — def-use chains (also used by the duplication pass to
 //!   build duplication paths);
 //! * [`loops`] — natural-loop membership from back edges;
-//! * [`sections`] — loop-nest section partitioning for compositional
-//!   injection campaigns;
 //! * [`slice`](mod@slice) — forward program slicing in the spirit of Weiser's
 //!   algorithm, restricted to intra-procedural SSA data flow;
 //! * [`features`] — the 31-entry [`features::FeatureVector`] extractor.
@@ -39,7 +37,6 @@
 pub mod defuse;
 pub mod features;
 pub mod loops;
-pub mod sections;
 pub mod slice;
 
 pub use defuse::DefUse;
@@ -47,5 +44,4 @@ pub use features::{
     Feature, FeatureExtractor, FeatureVector, FEATURE_SCHEMA_VERSION, NUM_FEATURES,
 };
 pub use loops::LoopInfo;
-pub use sections::{FuncSections, Section, SectionPartition};
 pub use slice::forward_slice;

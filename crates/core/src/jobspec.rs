@@ -107,16 +107,10 @@ pub struct JobSpec {
     /// Store key of the protected module to evaluate
     /// ([`JobKind::Eval`] only).
     pub module_key: Option<String>,
-    /// Run the campaign section-granularly ([`JobKind::Campaign`]
-    /// only): plans are grouped by loop-nest section, chunks align to
-    /// section boundaries, and journal records carry section tags — the
-    /// serving-side face of incremental re-analysis.
-    pub sections: bool,
     /// Run the campaign adaptively ([`JobKind::Campaign`] only): a
     /// uniform seed round, then margin-weighted rounds drawn by a
     /// classifier retrained on the labels so far, chunks aligned to
     /// round boundaries, and journal records tagged with their round.
-    /// Mutually exclusive with [`JobSpec::sections`].
     pub adaptive: bool,
 }
 
@@ -139,7 +133,6 @@ impl JobSpec {
             policy: "ipas".to_string(),
             deadline_ms: 0,
             module_key: None,
-            sections: false,
             adaptive: false,
         }
     }
@@ -166,14 +159,8 @@ impl JobSpec {
         if self.kind == JobKind::Eval && self.module_key.is_none() {
             return Err("eval jobs need a module key".to_string());
         }
-        if self.sections && self.kind != JobKind::Campaign {
-            return Err("sectional execution only applies to campaign jobs".to_string());
-        }
         if self.adaptive && self.kind != JobKind::Campaign {
             return Err("adaptive sampling only applies to campaign jobs".to_string());
-        }
-        if self.adaptive && self.sections {
-            return Err("adaptive and sectional execution are mutually exclusive".to_string());
         }
         if !matches!(
             self.policy.as_str(),
@@ -205,9 +192,6 @@ impl JobSpec {
         }
         // Added like `module-key`: only present when set, so every job
         // id minted before the flag existed stays stable.
-        if self.sections {
-            b = b.bool("sections", true);
-        }
         if self.adaptive {
             b = b.bool("adaptive", true);
         }
@@ -240,9 +224,6 @@ impl JobSpec {
         if let Some(key) = &self.module_key {
             b = b.str("module_key", key);
         }
-        if self.sections {
-            b = b.num("sections", 1);
-        }
         if self.adaptive {
             b = b.num("adaptive", 1);
         }
@@ -255,7 +236,7 @@ impl JobSpec {
     /// # Errors
     ///
     /// A human-readable reason when the line is malformed, of the wrong
-    /// kind, or has out-of-range fields.
+    /// kind, has out-of-range fields, or asks for sectional execution.
     pub fn decode(line: &str, expect_kind: &str) -> Result<Self, String> {
         let fields = Fields::parse(line).ok_or("malformed job line")?;
         if fields.kind() != expect_kind {
@@ -263,6 +244,13 @@ impl JobSpec {
                 "expected a {expect_kind:?} line, got {:?}",
                 fields.kind()
             ));
+        }
+        // Sectional campaigns are gone. Running such a line as a plain
+        // campaign would give it a new job id, so a restarted daemon
+        // would re-admit an old `.job` checkpoint under that id and
+        // never remove the file; refusing it drops the file instead.
+        if fields.num("sections").is_some() || fields.str("sections").is_some() {
+            return Err("unsupported field \"sections\": sectional campaigns were removed".into());
         }
         let str_field = |k: &str| {
             fields
@@ -294,7 +282,6 @@ impl JobSpec {
             policy: str_field("policy")?,
             deadline_ms: num_field("deadline_ms")?,
             module_key: fields.str("module_key").map(str::to_string),
-            sections: fields.num("sections").unwrap_or(0) != 0,
             adaptive: fields.num("adaptive").unwrap_or(0) != 0,
         };
         spec.validate()?;
@@ -412,32 +399,31 @@ mod tests {
         bad.policy = "mystery".to_string();
         assert!(bad.validate().is_err());
         let mut bad = spec();
-        bad.sections = true;
-        assert!(bad.validate().is_err(), "sectional protect job");
-        let mut bad = spec();
         bad.adaptive = true;
         assert!(bad.validate().is_err(), "adaptive protect job");
-        let mut bad = spec();
-        bad.kind = JobKind::Campaign;
-        bad.adaptive = true;
-        bad.sections = true;
-        assert!(bad.validate().is_err(), "adaptive + sectional campaign");
     }
 
     #[test]
-    fn sections_flag_round_trips_and_splits_the_job_id() {
+    fn sections_field_is_rejected_by_name() {
         let mut s = spec();
         s.kind = JobKind::Campaign;
-        let plain_id = s.job_id();
-        let plain_line = s.encode("submit");
-        s.sections = true;
-        assert!(s.validate().is_ok());
-        assert_ne!(s.job_id(), plain_id, "sectional work is different work");
-        let back = JobSpec::decode(&s.encode("submit"), "submit").unwrap();
-        assert_eq!(back, s);
-        // Lines minted before the flag existed decode as non-sectional.
-        let legacy = JobSpec::decode(&plain_line, "submit").unwrap();
-        assert!(!legacy.sections);
+        // Plain and adaptive job ids keep the values they had while
+        // sectional jobs existed.
+        assert_eq!(s.job_id(), "57f5034273a48943");
+        s.adaptive = true;
+        assert_eq!(s.job_id(), "dd9beaada07ee8a7");
+        s.adaptive = false;
+        // What a daemon with sectional execution wrote for such a job:
+        // the plain line with `"sections":1` before the closing brace.
+        for kind in ["submit", "jobspec"] {
+            let line = s.encode(kind);
+            let sectional = line.replacen("}\n", ",\"sections\":1}\n", 1);
+            let err = JobSpec::decode(&sectional, kind).unwrap_err();
+            assert!(err.contains("\"sections\""), "{err}");
+            let named = line.replacen("}\n", ",\"sections\":\"yes\"}\n", 1);
+            assert!(JobSpec::decode(&named, kind).is_err());
+            assert_eq!(JobSpec::decode(&line, kind).unwrap(), s);
+        }
     }
 
     #[test]

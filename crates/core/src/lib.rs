@@ -52,7 +52,6 @@ pub mod classifier;
 pub mod duplication;
 pub mod experiment;
 pub mod faultmodels;
-pub mod incremental;
 pub mod jobspec;
 pub mod memo;
 pub mod policy;
@@ -73,12 +72,10 @@ pub use experiment::{
     ExperimentError, ExperimentOptions, ExperimentResult, VariantResult,
 };
 pub use faultmodels::{compare_fault_models, model_breakdown, render_model_table, ModelBreakdown};
-pub use incremental::{run_campaign_incremental, IncrementalError, IncrementalOutcome};
 pub use memo::{
     campaign_fingerprint, dataset_from_artifact, eval_fingerprint, memoized_models,
-    module_fingerprint, plan_slice_digest, protect_fingerprint, section_fingerprint,
-    section_index_fingerprint, section_profile_fingerprint, summary_fingerprint,
-    training_fingerprint, training_set_artifact, with_run_identity,
+    module_fingerprint, protect_fingerprint, summary_fingerprint, training_fingerprint,
+    training_set_artifact, with_run_identity,
 };
 pub use policy::ProtectionPolicy;
 pub use selection::ideal_point_index;

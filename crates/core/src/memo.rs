@@ -22,11 +22,8 @@
 //! the extended training key and protect keys from the model key, so
 //! both carry it too.
 
-use ipas_analysis::sections::SectionPartition;
 use ipas_analysis::{Feature, FEATURE_SCHEMA_VERSION};
-use ipas_faultsim::{
-    CampaignConfig, CampaignResult, FaultModel, Injection, Outcome, SamplingMode, Workload,
-};
+use ipas_faultsim::{CampaignConfig, CampaignResult, FaultModel, Outcome, Workload};
 use ipas_ir::Module;
 use ipas_store::{
     CacheOutcome, Fingerprint, FingerprintBuilder, Key, MemoError, Store, StoreError, TrainedModel,
@@ -185,90 +182,6 @@ pub fn summary_fingerprint(module: &Module, name: &str, config: &CampaignConfig)
         config.fault_model,
     )
     .finish()
-}
-
-/// Fingerprint of one section's content: the canonical printed text of
-/// its label and blocks ([`SectionPartition::section_text`]). Editing
-/// any instruction of the section (or renaming its function) changes
-/// the key; edits elsewhere in the module do not — which is exactly the
-/// granularity the incremental driver reuses at.
-pub fn section_fingerprint(
-    module: &Module,
-    partition: &SectionPartition,
-    section: usize,
-) -> Fingerprint {
-    FingerprintBuilder::new("section")
-        .text("text", &partition.section_text(module, section))
-        .finish()
-}
-
-/// Digest of the plan slice a campaign assigns to one section: every
-/// plan index plus the plan's full parameters, in plan order. Two
-/// campaigns whose slices share this digest execute identical plans at
-/// identical indices — the precondition for splicing a cached section
-/// profile into a fresh campaign.
-pub fn plan_slice_digest(plans: &[Injection], assignment: &[u32], section: u32) -> Fingerprint {
-    let mut b = FingerprintBuilder::new("section-plans");
-    for (i, plan) in plans.iter().enumerate() {
-        if assignment[i] != section {
-            continue;
-        }
-        b = b
-            .u64("plan", i as u64)
-            .text("model", &plan.model.to_string())
-            .u64("target", plan.target)
-            .u64("bit", u64::from(plan.bit));
-        if let Some((f, inst)) = plan.site {
-            b = b
-                .u64("site-func", f.index() as u64)
-                .u64("site-inst", inst.index() as u64);
-        }
-    }
-    b.finish()
-}
-
-/// Fingerprint of one section's cached outcome profile: the campaign's
-/// knobs plus the section's content fingerprint and plan-slice digest.
-/// The incremental driver stores the profile under
-/// [`with_run_identity`] of this, and reuses it exactly when that whole
-/// key matches, so the key *is* the reuse condition.
-pub fn section_profile_fingerprint(
-    name: &str,
-    config: &CampaignConfig,
-    sampling: SamplingMode,
-    section: &Fingerprint,
-    plan_digest: &Fingerprint,
-) -> Fingerprint {
-    FingerprintBuilder::new("section-profile")
-        .text("workload", name)
-        .u64("runs", config.runs as u64)
-        .u64("seed", config.seed)
-        .text("fault-model", &config.fault_model.to_string())
-        .text("sampling", sampling.wire())
-        .fingerprint("section", section)
-        .fingerprint("plans", plan_digest)
-        .finish()
-}
-
-/// Fingerprint of a sectional campaign's baseline
-/// [`ipas_store::SectionIndex`]: the full module text plus the campaign
-/// knobs. Every `--incremental` run stores its index under
-/// [`with_run_identity`] of this and prints that key, so the next run
-/// can name it as `--baseline`.
-pub fn section_index_fingerprint(
-    module: &Module,
-    name: &str,
-    config: &CampaignConfig,
-    sampling: SamplingMode,
-) -> Fingerprint {
-    FingerprintBuilder::new("section-index")
-        .text("ir", module.text())
-        .text("workload", name)
-        .u64("runs", config.runs as u64)
-        .u64("seed", config.seed)
-        .text("fault-model", &config.fault_model.to_string())
-        .text("sampling", sampling.wire())
-        .finish()
 }
 
 /// Builds the [`TrainingSet`] artifact from a finished training
@@ -527,62 +440,6 @@ mod tests {
         assert_eq!(
             fp,
             training_fingerprint(&cfp, LabelKind::SocGenerating, &grid, 5)
-        );
-    }
-
-    #[test]
-    fn section_fingerprints_isolate_the_edited_section() {
-        let base = ipas_lang::compile(
-            "fn f(n: int) -> int { let s: int = 0;
-               for (let i: int = 0; i < n; i = i + 1) { s = s + i * 3; }
-               return s; }
-             fn main() -> int { output_i(f(6)); return 0; }",
-        )
-        .unwrap();
-        let edited = ipas_lang::compile(
-            "fn f(n: int) -> int { let s: int = 0;
-               for (let i: int = 0; i < n; i = i + 1) { s = s + i * 7; }
-               return s; }
-             fn main() -> int { output_i(f(6)); return 0; }",
-        )
-        .unwrap();
-        let pb = SectionPartition::compute(&base);
-        let pe = SectionPartition::compute(&edited);
-        assert_eq!(pb.len(), pe.len());
-        let changed: Vec<usize> = (0..pb.len())
-            .filter(|&s| section_fingerprint(&base, &pb, s) != section_fingerprint(&edited, &pe, s))
-            .collect();
-        // Only the loop section of `f` saw the constant change.
-        assert_eq!(changed.len(), 1);
-        assert!(pb.sections()[changed[0]].label.contains("loop"));
-        // Stability: recomputing yields the same key.
-        assert_eq!(
-            section_fingerprint(&base, &pb, 0),
-            section_fingerprint(&base, &pb, 0)
-        );
-    }
-
-    #[test]
-    fn plan_slice_digest_tracks_membership_and_parameters() {
-        use ipas_faultsim::Injection;
-        let plans = vec![
-            Injection::at_global_index(10, 3),
-            Injection::at_global_index(20, 4),
-            Injection::at_global_index(30, 5),
-        ];
-        let assignment = vec![0, 1, 0];
-        let d0 = plan_slice_digest(&plans, &assignment, 0);
-        assert_ne!(d0, plan_slice_digest(&plans, &assignment, 1));
-        // Moving a plan between sections changes both digests.
-        assert_ne!(d0, plan_slice_digest(&plans, &[0, 0, 0], 0));
-        // Changing a parameter of a member plan changes the digest.
-        let mut bumped = plans.clone();
-        bumped[2].bit = 6;
-        assert_ne!(d0, plan_slice_digest(&bumped, &assignment, 0));
-        // Unrelated sections are unaffected.
-        assert_eq!(
-            plan_slice_digest(&plans, &assignment, 1),
-            plan_slice_digest(&bumped, &assignment, 1)
         );
     }
 

@@ -32,9 +32,8 @@ use crate::{FaultModel, HarnessFailure, InjectionRecord, Outcome, PlanOutcome, S
 /// Version 2 added the fault model to the header and a per-record
 /// schema version (`v`) plus fault model; version-1 journals are
 /// rejected with a typed mismatch rather than silently merged.
-/// Version 3 lets records carry an optional tag (`sec`: the section id
-/// of a sectional campaign, the round id of an adaptive one) for
-/// inspection; resume ignores it. Version-2 journals (headers and
+/// Version 3 lets records carry an optional tag (`sec`: the round id of
+/// an adaptive campaign) for inspection; resume ignores it. Version-2 journals (headers and
 /// records) are still accepted on resume because every v2 line parses
 /// identically under v3 — the tag is simply absent.
 const FORMAT_VERSION: u64 = 3;
@@ -140,7 +139,7 @@ pub struct JournalHeader {
     /// margin-weighted rounds. `None` for classic campaigns — the field
     /// is omitted from the header line, so pre-adaptive journals are
     /// byte-identical and still resume. Record `sec` tags then carry
-    /// the round index instead of a section id.
+    /// the round index.
     pub round_runs: Option<usize>,
 }
 
@@ -278,7 +277,7 @@ fn encode_header(h: &JournalHeader) -> String {
 }
 
 /// Encodes one completed plan as its journal line (newline-terminated),
-/// tagging a record with `tag` — its section or round id — when set.
+/// tagging a record with `tag` — its round id — when set.
 /// Harness failures are never tagged: their plan index already
 /// identifies them.
 ///

@@ -16,7 +16,7 @@
 //!   error of §6.2, and the per-injection records used to build SVM
 //!   training sets;
 //! * [`CampaignRuntime`] — the one plan-stream runtime every campaign
-//!   kind (plain, sectional, incremental, adaptive, daemon job) runs on:
+//!   kind (plain, adaptive, daemon job) runs on:
 //!   tagged plans in, journaled outcomes spliced in plan order out.
 //!
 //! # Campaign resilience
@@ -75,7 +75,6 @@
 mod journal;
 pub mod rounds;
 pub mod runtime;
-pub mod sections;
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -130,8 +129,7 @@ impl Outcome {
         }
     }
 
-    /// Stable wire token, shared by the campaign journal and the stored
-    /// section-profile artifacts (all-lowercase, unlike
+    /// Stable wire token of the campaign journal (all-lowercase, unlike
     /// [`Outcome::label`]'s display form).
     pub fn wire(self) -> &'static str {
         match self {
@@ -571,20 +569,6 @@ pub enum CampaignError {
         /// [`SamplingMode::StaticUniform`].
         model: FaultModel,
     },
-    /// Section-granular campaigns resolve dynamic targets through the
-    /// eligible-result trace, which only value-class models sample.
-    UnsupportedSectional {
-        /// The non-value model requested for a sectional campaign.
-        model: FaultModel,
-    },
-    /// A compositional invariant was violated: the eligible trace, the
-    /// section partition, and the plan list disagreed (e.g. a target
-    /// beyond the trace, a site outside the partition, or a plan index
-    /// spliced twice).
-    Composition {
-        /// What disagreed.
-        message: String,
-    },
 }
 
 impl fmt::Display for CampaignError {
@@ -609,13 +593,6 @@ impl fmt::Display for CampaignError {
                 f,
                 "static-site sampling only supports value-class fault models, not {model}"
             ),
-            CampaignError::UnsupportedSectional { model } => write!(
-                f,
-                "section-granular campaigns only support value-class fault models, not {model}"
-            ),
-            CampaignError::Composition { message } => {
-                write!(f, "campaign composition failed: {message}")
-            }
         }
     }
 }
@@ -672,8 +649,7 @@ pub struct CampaignResult {
     /// outcome fractions rest on fewer samples than configured.
     pub harness_failures: Vec<HarnessFailure>,
     /// Entries recovered from the checkpoint journal instead of being
-    /// re-executed (0 without a journal or on a fresh campaign). Cached
-    /// outcomes an incremental campaign prefilled are not counted.
+    /// re-executed (0 without a journal or on a fresh campaign).
     pub resumed: usize,
     /// Nominal (clean) dynamic instruction count of the workload.
     pub nominal_insts: u64,
@@ -786,21 +762,11 @@ pub enum SamplingMode {
 }
 
 impl SamplingMode {
-    /// Stable wire token, shared by the campaign journal and the stored
-    /// section-index artifacts.
+    /// Stable wire token of the campaign journal.
     pub fn wire(self) -> &'static str {
         match self {
             SamplingMode::DynamicUniform => "dynamic",
             SamplingMode::StaticUniform => "static",
-        }
-    }
-
-    /// Parses a [`SamplingMode::wire`] token.
-    pub fn from_wire(token: &str) -> Option<SamplingMode> {
-        match token {
-            "dynamic" => Some(SamplingMode::DynamicUniform),
-            "static" => Some(SamplingMode::StaticUniform),
-            _ => None,
         }
     }
 }
@@ -1128,7 +1094,6 @@ fn plan_config(
         max_insts: budget,
         injection: plan,
         profile_sites: false,
-        trace_eligible: false,
         wall_limit: run_deadline,
     }
 }

@@ -1,10 +1,10 @@
 //! The campaign runtime: one plan stream, two schedulers.
 //!
-//! Every campaign kind — plain, sectional, incremental, adaptive, and
-//! the serve daemon's jobs — is the same thing underneath: pre-drawn
-//! injection plans, each with a journal *tag* (none, a section id, or
-//! an adaptive round id), executed under the resilient runtime of
-//! [`PlanExecutor`], journaled, and spliced back in plan order.
+//! Every campaign kind — plain, adaptive, and the serve daemon's jobs —
+//! is the same thing underneath: pre-drawn injection plans, each with a
+//! journal *tag* (none, or an adaptive round id), executed under the
+//! resilient runtime of [`PlanExecutor`], journaled, and spliced back
+//! in plan order.
 //! [`CampaignRuntime`] owns that once:
 //!
 //! * the journal: one [`JournalHeader`] built from the workload, the
@@ -18,9 +18,7 @@
 //! * **finish**: the splice into a [`CampaignResult`] in plan order.
 //!
 //! Campaign kinds differ only in the plans they
-//! [`append`](CampaignRuntime::append) — and, for incremental
-//! campaigns, the cached outcomes they
-//! [`prefill`](CampaignRuntime::prefill). Two schedulers drive the
+//! [`append`](CampaignRuntime::append). Two schedulers drive the
 //! stream, each with its own commit point:
 //!
 //! * [`CampaignRuntime::run_pool`], the in-process pool. Workers claim
@@ -163,37 +161,6 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
             stream.slots.push(Slot { plan, tag, outcome });
         }
         start..stream.slots.len()
-    }
-
-    /// Fills plans with outcomes known without executing them (an
-    /// incremental campaign's cached sections), the way journal-resumed
-    /// outcomes fill theirs. A plan the journal already resumed keeps
-    /// the journal's outcome. Prefilled plans never count as resumed.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Composition`] on an index outside the appended
-    /// plans or one given twice.
-    pub fn prefill(
-        &self,
-        outcomes: impl IntoIterator<Item = (usize, PlanOutcome)>,
-    ) -> Result<(), CampaignError> {
-        let stream = &mut *lock(&self.stream);
-        let runs = stream.slots.len();
-        let mut given = vec![false; runs];
-        for (i, outcome) in outcomes {
-            let message = match given.get_mut(i) {
-                None => format!("plan index {i} out of range for {runs} runs"),
-                Some(true) => format!("plan index {i} was spliced twice"),
-                Some(seen) => {
-                    *seen = true;
-                    stream.slots[i].outcome.get_or_insert(outcome);
-                    continue;
-                }
-            };
-            return Err(CampaignError::Composition { message });
-        }
-        Ok(())
     }
 
     /// Indices of the appended plans still without an outcome, in plan

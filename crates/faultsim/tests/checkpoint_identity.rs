@@ -49,12 +49,7 @@ fn fingerprint(out: &RunOutput) -> String {
         "injected {:?} at {:?}",
         out.injected_site, out.injected_at_inst
     );
-    let _ = writeln!(
-        s,
-        "profile {} trace {}",
-        out.site_profile.is_some(),
-        out.eligible_trace.is_some()
-    );
+    let _ = writeln!(s, "profile {}", out.site_profile.is_some());
     s
 }
 

@@ -1,19 +1,16 @@
 //! One campaign runtime, many schedules: the same plan stream run
-//! through the in-process pool at any thread count, section-tagged, or
-//! as stealable chunks of any size gives the same records and — once
+//! through the in-process pool at any thread count, or as stealable
+//! chunks of any size, tagged or not, gives the same records and — once
 //! the per-record `sec` tags are removed — the same journal lines. A
 //! journal cut anywhere (a crash mid-write) resumes to the same records,
 //! executing exactly the plans it lost.
 
 use std::path::{Path, PathBuf};
 
-use ipas_analysis::sections::SectionPartition;
 use ipas_faultsim::rounds::draw_uniform_site_plans;
-use ipas_faultsim::sections::{assign_sections, run_campaign_sectional};
 use ipas_faultsim::{
     draw_plans, profile_sites, run_campaign_with, CampaignConfig, CampaignError, CampaignOptions,
-    CampaignResult, CampaignRuntime, FaultModel, OutputVerifier, PlanOutcome, RetryPolicy,
-    Workload,
+    CampaignResult, CampaignRuntime, FaultModel, OutputVerifier, RetryPolicy, Workload,
 };
 use ipas_interp::RunOutput;
 use ipas_ir::json::Fields;
@@ -23,7 +20,7 @@ use rand::SeedableRng;
 const RUNS: usize = 32;
 const SEED: u64 = 41;
 
-/// Two functions with loops: several sections to tag plans with.
+/// Two functions with loops.
 const SRC: &str = "fn sq(n: int) -> int {
     let s: int = 0;
     for (let i: int = 0; i < n; i = i + 1) { s = s + i * i; }
@@ -135,11 +132,18 @@ fn run_in_chunks(
     runtime.finish().expect("every chunk ran")
 }
 
-fn section_tags(w: &Workload) -> Vec<Option<u32>> {
-    let plans = draw_plans(w, &config(1), Default::default()).expect("plans");
-    let partition = SectionPartition::compute(&w.module);
-    let assignment = assign_sections(w, &partition, &plans).expect("assigns");
-    assignment.into_iter().map(Some).collect()
+/// A journal tag on every plan, five distinct values.
+fn synthetic_tags() -> Vec<Option<u32>> {
+    (0..RUNS as u32).map(|i| Some(i % 5)).collect()
+}
+
+/// Whether every record line of the journal at `path` carries a tag.
+fn records_all_tagged(path: &Path) -> bool {
+    std::fs::read_to_string(path)
+        .expect("journal")
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"record\""))
+        .all(|l| l.contains(",\"sec\":"))
 }
 
 #[test]
@@ -168,17 +172,6 @@ fn every_scheduler_gives_the_same_records_and_journal_lines() {
         path.clone(),
         run_campaign_with(&w, &config(4), &journaled(&path)).expect("pool"),
     ));
-    let path = fresh_path("sectional");
-    let sectional = run_campaign_sectional(&w, &config(2), &journaled(&path)).expect("sectional");
-    assert!(sectional.partition.len() > 1, "a real partition");
-    let text = std::fs::read_to_string(&path).expect("journal");
-    assert!(
-        text.lines()
-            .filter(|l| l.contains("\"kind\":\"record\""))
-            .all(|l| l.contains(",\"sec\":")),
-        "every sectional record carries its own section tag"
-    );
-    runs.push(("sectional", path, sectional.result));
     let path = fresh_path("chunks-1");
     runs.push((
         "chunks of 1",
@@ -186,11 +179,12 @@ fn every_scheduler_gives_the_same_records_and_journal_lines() {
         run_in_chunks(&w, &journaled(&path), vec![None; RUNS], 1),
     ));
     let path = fresh_path("chunks-7");
-    runs.push((
-        "section-tagged chunks of 7",
-        path.clone(),
-        run_in_chunks(&w, &journaled(&path), section_tags(&w), 7),
-    ));
+    let tagged = run_in_chunks(&w, &journaled(&path), synthetic_tags(), 7);
+    assert!(
+        records_all_tagged(&path),
+        "every tagged record carries its own tag"
+    );
+    runs.push(("tagged chunks of 7", path, tagged));
 
     for (name, path, result) in runs {
         assert_eq!(result.records, reference.records, "{name}: records");
@@ -261,34 +255,34 @@ fn journals_cut_anywhere_resume_to_the_same_records() {
         run_campaign_with(&w, &config(2), options).expect("plain resumes")
     });
 
-    let sectional_path = fresh_path("sweep-sectional");
-    let sectional =
-        run_campaign_sectional(&w, &config(1), &journaled(&sectional_path)).expect("sectional");
-    assert_eq!(sectional.result.records, plain.records);
-    sweep_cuts("sectional", &sectional_path, &sectional.result, |options| {
-        run_campaign_sectional(&w, &config(2), options)
-            .expect("sectional resumes")
-            .result
+    let tagged_path = fresh_path("sweep-tagged");
+    let tagged = run_in_chunks(&w, &journaled(&tagged_path), synthetic_tags(), 7);
+    assert_eq!(tagged.records, plain.records);
+    sweep_cuts("tagged", &tagged_path, &tagged, |options| {
+        run_in_chunks(&w, options, synthetic_tags(), 7)
     });
+    assert!(
+        records_all_tagged(&tagged_path),
+        "resumed records keep their tags"
+    );
     std::fs::remove_file(&plain_path).expect("cleanup");
-    std::fs::remove_file(&sectional_path).expect("cleanup");
+    std::fs::remove_file(&tagged_path).expect("cleanup");
 }
 
 #[test]
-fn partial_execution_is_incomplete_and_prefill_completes_it() {
+fn partial_execution_is_incomplete() {
     let w = workload();
     let options = CampaignOptions {
         retry: RetryPolicy::no_retries(),
         ..CampaignOptions::default()
     };
-    let full = run_campaign_with(&w, &config(1), &options).expect("full");
     let plans = draw_plans(&w, &config(1), options.sampling).expect("plans");
-    let tags = section_tags(&w);
+    let tags = synthetic_tags();
     let chosen = tags[0];
     let selected: Vec<usize> = (0..RUNS).filter(|&i| tags[i] == chosen).collect();
-    assert!(selected.len() < RUNS, "more than one section has plans");
+    assert!(selected.len() < RUNS, "more than one tag has plans");
 
-    // Only the chosen section's plans run; finishing reports the rest.
+    // Only the chosen tag's plans run; finishing reports the rest.
     let runtime = CampaignRuntime::open(&w, &config(1), &options, None).expect("opens");
     runtime.append(plans.iter().copied().zip(tags.iter().copied()));
     let outcomes = runtime.run_chunk(&selected).expect("chunk");
@@ -297,37 +291,6 @@ fn partial_execution_is_incomplete_and_prefill_completes_it() {
     match runtime.finish() {
         Err(CampaignError::Incomplete { missing }) => assert_eq!(missing, RUNS - selected.len()),
         other => panic!("expected Incomplete, got {other:?}"),
-    }
-
-    // Prefilling the other sections from a full run (the incremental
-    // cache) leaves exactly the chosen section to execute.
-    let full_runtime = CampaignRuntime::open(&w, &config(1), &options, None).expect("opens");
-    full_runtime.append(plans.iter().map(|&plan| (plan, None)));
-    full_runtime.run_pool().expect("runs");
-    let cached: Vec<(usize, PlanOutcome)> = full_runtime
-        .outcomes()
-        .into_iter()
-        .filter(|(i, _)| tags[*i] != chosen)
-        .collect();
-    let runtime = CampaignRuntime::open(&w, &config(2), &options, None).expect("opens");
-    runtime.append(plans.iter().copied().zip(tags.iter().copied()));
-    runtime.prefill(cached.iter().cloned()).expect("prefills");
-    assert_eq!(runtime.pending(), selected);
-    runtime.run_pool().expect("runs");
-    let spliced = runtime.finish().expect("complete");
-    assert_eq!(spliced.records, full.records);
-    assert_eq!(spliced.harness_failures, full.harness_failures);
-    assert_eq!(spliced.resumed, 0, "prefilled plans are not resumed");
-
-    // Duplicate and out-of-range cached indices are composition errors.
-    let dup = (cached[0].0, cached[0].1.clone());
-    for bad in [vec![dup.clone(), dup], vec![(RUNS, cached[0].1.clone())]] {
-        let runtime = CampaignRuntime::open(&w, &config(1), &options, None).expect("opens");
-        runtime.append(plans.iter().map(|&plan| (plan, None)));
-        match runtime.prefill(bad) {
-            Err(CampaignError::Composition { .. }) => {}
-            other => panic!("expected Composition, got {other:?}"),
-        }
     }
 }
 

@@ -18,8 +18,7 @@ use ipas_store::{FingerprintBuilder, FuzzRepro, Store};
 use crate::minimize::{minimize_module_with, minimize_text};
 use crate::mutate::mutate;
 use crate::oracle::{
-    check_incremental, check_module_with, check_no_panic_ir, check_no_panic_scil, Divergence,
-    OracleKind,
+    check_module_with, check_no_panic_ir, check_no_panic_scil, Divergence, OracleKind,
 };
 use crate::{ir_gen, scil_gen};
 
@@ -30,7 +29,7 @@ pub struct FuzzConfig {
     pub runs: u64,
     /// Campaign seed; `(seed, case)` replays any single case.
     pub seed: u64,
-    /// Oracles to run (defaults to all six).
+    /// Oracles to run (defaults to all five).
     pub oracles: Vec<OracleKind>,
     /// Pins the engine-diff fault model; `None` draws a fresh model
     /// from the case RNG for every case, so a long campaign sweeps all
@@ -204,7 +203,7 @@ impl Campaign {
             .oracles
             .iter()
             .copied()
-            .filter(|o| !matches!(o, OracleKind::NoPanic | OracleKind::Incremental))
+            .filter(|&o| o != OracleKind::NoPanic)
             .collect();
         for oracle in oracles {
             self.bump(oracle);
@@ -232,44 +231,6 @@ impl Campaign {
             self.record(case, "ir", mutated, min, d);
         }
     }
-
-    /// Incremental-vs-full equivalence on a generated (base, mutated)
-    /// program pair. Pair findings carry both programs verbatim; the
-    /// delta debugger minimizes single inputs, so the pair is its own
-    /// "minimized" form.
-    fn check_incremental_case(&mut self, case: u64, rng: &mut StdRng) {
-        self.bump(OracleKind::Incremental);
-        let (base_src, mutated_src) = scil_gen::gen_incremental_pair(rng);
-        let campaign_seed: u64 = rng.gen_range(0..u64::MAX);
-        let (base, mutated) = match (
-            ipas_lang::compile(&base_src),
-            ipas_lang::compile(&mutated_src),
-        ) {
-            (Ok(b), Ok(m)) => (b, m),
-            (b, m) => {
-                let input = format!("// base\n{base_src}// mutated\n{mutated_src}");
-                self.record(
-                    case,
-                    "scil",
-                    input.clone(),
-                    input,
-                    Divergence {
-                        oracle: OracleKind::Incremental,
-                        message: format!(
-                            "pair generator emitted rejected SciL: {:?} / {:?}",
-                            b.err(),
-                            m.err()
-                        ),
-                    },
-                );
-                return;
-            }
-        };
-        if let Some(d) = check_incremental(&base, &mutated, campaign_seed) {
-            let input = format!("// base\n{base_src}// mutated\n{mutated_src}");
-            self.record(case, "scil", input.clone(), input, d);
-        }
-    }
 }
 
 /// Runs a fuzzing campaign and returns its report. Deterministic for a
@@ -289,12 +250,11 @@ pub fn run_fuzz(config: FuzzConfig) -> FuzzReport {
     };
 
     let want_no_panic = campaign.config.oracles.contains(&OracleKind::NoPanic);
-    let want_incremental = campaign.config.oracles.contains(&OracleKind::Incremental);
     let want_modules = campaign
         .config
         .oracles
         .iter()
-        .any(|o| !matches!(o, OracleKind::NoPanic | OracleKind::Incremental));
+        .any(|&o| o != OracleKind::NoPanic);
 
     for case in 0..campaign.config.runs {
         campaign.report.cases += 1;
@@ -303,7 +263,7 @@ pub fn run_fuzz(config: FuzzConfig) -> FuzzReport {
             .config
             .fault_model
             .unwrap_or_else(|| draw_model(&mut rng));
-        match case % 4 {
+        match case % 3 {
             0 if want_modules => {
                 let module = ir_gen::gen_module(&mut rng);
                 campaign.check_module_case(case, "ir", &module, model);
@@ -330,9 +290,6 @@ pub fn run_fuzz(config: FuzzConfig) -> FuzzReport {
             }
             2 if want_no_panic => {
                 campaign.check_no_panic_case(case, &mut rng);
-            }
-            _ if want_incremental => {
-                campaign.check_incremental_case(case, &mut rng);
             }
             _ => {}
         }

@@ -15,18 +15,15 @@
 //! * **mutators** ([`mutate`]) — byte- and line-level corruption
 //!   (including non-ASCII injection) of well-formed inputs, feeding the
 //!   no-panic oracle;
-//! * **oracles** ([`oracle`]) — six differential checks, each
+//! * **oracles** ([`oracle`]) — five differential checks, each
 //!   returning a typed [`oracle::Divergence`] instead of asserting:
 //!   reference vs compiled engine (full `RunOutput` equality),
 //!   printer→parser round-trip, pass-pipeline semantic preservation
 //!   (the default pipeline plus seeded random pass orders through the
 //!   pass manager, divergences bisected to the first offending pass
 //!   application), duplication-transform identity under zero faults,
-//!   no-panic (malformed input must surface as a typed error or
-//!   trap, never a host panic), and incremental splice equivalence (a
-//!   delta campaign against a stored baseline must be byte-identical
-//!   to a from-scratch campaign on the mutated program while
-//!   re-injecting only the changed sections' plans);
+//!   and no-panic (malformed input must surface as a typed error or
+//!   trap, never a host panic);
 //! * **minimizer** ([`minimize`]) — delta debugging over blocks and
 //!   instructions (and lines/bytes for textual inputs), re-verifying
 //!   every candidate so the minimized repro is still a valid program

@@ -1,4 +1,4 @@
-//! The six differential oracles.
+//! The five differential oracles.
 //!
 //! Each oracle takes a well-formed input and returns `Some(Divergence)`
 //! when the property it guards is violated, `None` when the input is
@@ -40,23 +40,16 @@ pub enum OracleKind {
     /// Malformed input must produce a typed error or trap — the
     /// frontends and engines must not panic the host.
     NoPanic,
-    /// An incremental campaign spliced from a stored baseline must be
-    /// byte-identical to a from-scratch campaign on the mutated
-    /// program, and must re-inject only the changed sections' plans.
-    /// Operates on a (base, mutated) module *pair*, so the campaign
-    /// driver dispatches it separately from the single-module oracles.
-    Incremental,
 }
 
 impl OracleKind {
     /// All oracles, in campaign order.
-    pub const ALL: [OracleKind; 6] = [
+    pub const ALL: [OracleKind; 5] = [
         OracleKind::EngineDiff,
         OracleKind::Roundtrip,
         OracleKind::Passes,
         OracleKind::Duplication,
         OracleKind::NoPanic,
-        OracleKind::Incremental,
     ];
 
     /// Stable CLI/artifact name.
@@ -67,7 +60,6 @@ impl OracleKind {
             OracleKind::Passes => "passes",
             OracleKind::Duplication => "duplication",
             OracleKind::NoPanic => "no-panic",
-            OracleKind::Incremental => "incremental",
         }
     }
 
@@ -563,153 +555,6 @@ pub fn check_duplication(module: &Module) -> Option<Divergence> {
     None
 }
 
-/// Oracle 6: incremental splice equivalence on a (base, mutated)
-/// module pair — see [`crate::scil_gen::gen_incremental_pair`] for the
-/// mutation class this is sound for.
-///
-/// Three properties, each its own divergence:
-/// 1. the seeding run (no baseline) executes everything;
-/// 2. the delta run against the seeded baseline is byte-identical to a
-///    from-scratch campaign on the mutated module;
-/// 3. the delta run re-injects exactly the plans of sections whose
-///    content fingerprint changed — nothing more (wasted reuse) and
-///    nothing less (stale splice).
-pub fn check_incremental(base: &Module, mutated: &Module, seed: u64) -> Option<Divergence> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ipas-fuzz-incremental-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = check_incremental_in(&dir, base, mutated, seed);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn check_incremental_in(
-    dir: &std::path::Path,
-    base: &Module,
-    mutated: &Module,
-    seed: u64,
-) -> Option<Divergence> {
-    use ipas_analysis::sections::SectionPartition;
-    use ipas_core::{run_campaign_incremental, section_fingerprint};
-    use ipas_faultsim::sections::assign_sections;
-    use ipas_faultsim::{
-        draw_plans, run_campaign_with, CampaignConfig, CampaignOptions, GoldenToleranceVerifier,
-        Workload,
-    };
-
-    let fail = |message: String| Some(Divergence::new(OracleKind::Incremental, message));
-    let store = match ipas_store::Store::open(dir) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("scratch store failed to open: {e}")),
-    };
-    let config = CampaignConfig {
-        runs: 32,
-        seed,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
-    let options = CampaignOptions::default();
-    let base_w = match Workload::serial("fuzz-inc", base.clone(), GoldenToleranceVerifier::EXACT) {
-        Ok(w) => w,
-        Err(e) => return fail(format!("base golden run failed: {e}")),
-    };
-    let mut_w = match Workload::serial("fuzz-inc", mutated.clone(), GoldenToleranceVerifier::EXACT)
-    {
-        Ok(w) => w,
-        Err(e) => return fail(format!("mutated golden run failed: {e}")),
-    };
-
-    let seeded = match run_campaign_incremental(&store, &base_w, &config, &options, None) {
-        Ok(o) => o,
-        Err(e) => return fail(format!("seeding run failed: {e}")),
-    };
-    if seeded.sections_reused != 0 || seeded.injections_executed != seeded.injections_total {
-        return fail(format!(
-            "seeding run reused without a baseline: {} sections, {} of {} injections executed",
-            seeded.sections_reused, seeded.injections_executed, seeded.injections_total
-        ));
-    }
-
-    let delta = match run_campaign_incremental(
-        &store,
-        &mut_w,
-        &config,
-        &options,
-        Some(&seeded.index_key),
-    ) {
-        Ok(o) => o,
-        Err(e) => return fail(format!("delta run failed: {e}")),
-    };
-    let full = match run_campaign_with(&mut_w, &config, &options) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("from-scratch reference failed: {e}")),
-    };
-    if full.records != delta.result.records
-        || full.harness_failures != delta.result.harness_failures
-    {
-        return fail(format!(
-            "spliced result diverges from a from-scratch campaign \
-             (spliced {} records / {} failures, from-scratch {} / {})",
-            delta.result.records.len(),
-            delta.result.harness_failures.len(),
-            full.records.len(),
-            full.harness_failures.len()
-        ));
-    }
-
-    // Reuse accounting: the mutation is shape-preserving, so both
-    // partitions have the same sections and the changed ones are
-    // exactly those whose content fingerprint moved.
-    let bp = SectionPartition::compute(&base_w.module);
-    let mp = SectionPartition::compute(&mut_w.module);
-    if bp.len() != mp.len() {
-        return fail(format!(
-            "mutation changed the partition shape: {} vs {} sections",
-            bp.len(),
-            mp.len()
-        ));
-    }
-    let changed: Vec<u32> = (0..mp.len())
-        .filter(|&i| {
-            section_fingerprint(&base_w.module, &bp, i).hex()
-                != section_fingerprint(&mut_w.module, &mp, i).hex()
-        })
-        .map(|i| i as u32)
-        .collect();
-    if changed.is_empty() {
-        return fail("section fingerprints failed to register the one-function edit".to_string());
-    }
-    if delta.sections_reused != mp.len() - changed.len() {
-        return fail(format!(
-            "delta run reused {} sections, expected {} ({} of {} changed)",
-            delta.sections_reused,
-            mp.len() - changed.len(),
-            changed.len(),
-            mp.len()
-        ));
-    }
-    let plans = match draw_plans(&mut_w, &config, options.sampling) {
-        Ok(p) => p,
-        Err(e) => return fail(format!("plan draw failed: {e}")),
-    };
-    let assignment = match assign_sections(&mut_w, &mp, &plans) {
-        Ok(a) => a,
-        Err(e) => return fail(format!("section assignment failed: {e}")),
-    };
-    let expected: usize = assignment.iter().filter(|s| changed.contains(s)).count();
-    if delta.injections_executed != expected {
-        return fail(format!(
-            "delta run executed {} injections, expected exactly the changed sections' {}",
-            delta.injections_executed, expected
-        ));
-    }
-    None
-}
-
 /// Extracts a printable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -768,9 +613,7 @@ pub fn check_module(oracle: OracleKind, module: &Module) -> Option<Divergence> {
 }
 
 /// [`check_module`] with an explicit fault model; only the engine-diff
-/// oracle injects faults, so the other oracles ignore it. The
-/// incremental oracle needs a module *pair* ([`check_incremental`]),
-/// so a single module trivially satisfies it.
+/// oracle injects faults, so the other oracles ignore it.
 pub fn check_module_with(
     oracle: OracleKind,
     module: &Module,
@@ -782,7 +625,6 @@ pub fn check_module_with(
         OracleKind::Passes => check_passes(module),
         OracleKind::Duplication => check_duplication(module),
         OracleKind::NoPanic => check_no_panic_ir(&module.to_text()),
-        OracleKind::Incremental => None,
     }
 }
 
@@ -877,46 +719,6 @@ mod tests {
         ] {
             assert!(check_engine_diff_model(&module, model).is_none());
         }
-    }
-
-    #[test]
-    fn incremental_oracle_accepts_generated_pairs() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        for seed in [0u64, 1, 2] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (base, mutated) = crate::scil_gen::gen_incremental_pair(&mut rng);
-            let base = ipas_lang::compile(&base).expect("base compiles");
-            let mutated = ipas_lang::compile(&mutated).expect("mutated compiles");
-            assert!(
-                check_incremental(&base, &mutated, 77 + seed).is_none(),
-                "seed {seed}: clean pair flagged"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_oracle_rejects_shape_changing_edits() {
-        // A mutation that adds a function changes the partition shape;
-        // the oracle must flag the pair as outside its sound class
-        // rather than mis-account the reuse.
-        let base = ipas_lang::compile(
-            "fn f0(n: int) -> int { let s: int = 0;
-               for (let i: int = 0; i < n; i = i + 1) { s = s + i * 3; }
-               return s; }
-             fn main() -> int { output_i(f0(9)); return 0; }",
-        )
-        .unwrap();
-        let mutated = ipas_lang::compile(
-            "fn f0(n: int) -> int { let s: int = 0;
-               for (let i: int = 0; i < n; i = i + 1) { s = s + i * 3; }
-               return s; }
-             fn f1(n: int) -> int { return n * 5; }
-             fn main() -> int { output_i(f0(9) + f1(2)); return 0; }",
-        )
-        .unwrap();
-        let d = check_incremental(&base, &mutated, 7).expect("shape change must be flagged");
-        assert!(d.message.contains("partition shape"), "{}", d.message);
     }
 
     #[test]

@@ -440,61 +440,6 @@ pub fn gen_program(rng: &mut StdRng) -> String {
     g.out
 }
 
-/// Generates a multi-function program plus a one-function mutation of
-/// it, for the incremental oracle.
-///
-/// The two programs differ in exactly one function's loop-body
-/// constant multiplier, drawn from an odd set: odd constants are units
-/// mod 2^64 and the edit never touches a loop bound, so the mutation
-/// is count- and shape-preserving — precisely the edit class for which
-/// per-section outcome reuse is sound (see `docs/incremental.md`). The
-/// base program always partitions into several sections (one body +
-/// one loop section per function), so the delta run has unchanged
-/// sections to reuse.
-pub fn gen_incremental_pair(rng: &mut StdRng) -> (String, String) {
-    const MULTIPLIERS: [i64; 6] = [3, 5, 7, 9, 11, 13];
-    let nfuncs = rng.gen_range(2..5usize);
-    let mut mults: Vec<i64> = (0..nfuncs)
-        .map(|_| MULTIPLIERS[rng.gen_range(0..MULTIPLIERS.len())])
-        .collect();
-    let bounds: Vec<i64> = (0..nfuncs).map(|_| rng.gen_range(8..40i64)).collect();
-    let main_bound = rng.gen_range(8..30i64);
-
-    let render = |mults: &[i64]| -> String {
-        let mut s = String::from("// incremental fuzz pair\n");
-        for (k, m) in mults.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "fn f{k}(n: int) -> int {{\n    let s: int = 0;\n    \
-                 for (let i: int = 0; i < n; i = i + 1) {{ s = s + i * {m}; }}\n    \
-                 return s;\n}}"
-            );
-        }
-        s.push_str("fn main() -> int {\n    let acc: int = 0;\n");
-        for (k, bound) in bounds.iter().enumerate() {
-            let _ = writeln!(s, "    acc = acc + f{k}({bound});");
-        }
-        let _ = writeln!(
-            s,
-            "    for (let j: int = 0; j < {main_bound}; j = j + 1) {{ acc = acc + j; }}"
-        );
-        s.push_str("    output_i(acc);\n    return 0;\n}\n");
-        s
-    };
-
-    let base = render(&mults);
-    // Rotate the victim's multiplier to a *different* member of the
-    // set; an unchanged program would make the oracle vacuous.
-    let victim = rng.gen_range(0..nfuncs);
-    let at = MULTIPLIERS
-        .iter()
-        .position(|&m| m == mults[victim])
-        .expect("multiplier comes from the set");
-    mults[victim] = MULTIPLIERS[(at + rng.gen_range(1..MULTIPLIERS.len())) % MULTIPLIERS.len()];
-    let mutated = render(&mults);
-    (base, mutated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,32 +461,6 @@ mod tests {
         let a = gen_program(&mut StdRng::seed_from_u64(7));
         let b = gen_program(&mut StdRng::seed_from_u64(7));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn incremental_pairs_compile_and_differ_in_one_function() {
-        for seed in 0..50u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (base, mutated) = gen_incremental_pair(&mut rng);
-            ipas_lang::compile(&base)
-                .unwrap_or_else(|e| panic!("seed {seed}: base rejected: {e:?}\n{base}"));
-            ipas_lang::compile(&mutated)
-                .unwrap_or_else(|e| panic!("seed {seed}: mutated rejected: {e:?}\n{mutated}"));
-            assert_ne!(base, mutated, "seed {seed}: mutation was a no-op");
-            // Exactly one line moved: the victim function's multiplier.
-            let diff = base
-                .lines()
-                .zip(mutated.lines())
-                .filter(|(a, b)| a != b)
-                .count();
-            assert_eq!(diff, 1, "seed {seed}: expected a one-line mutation");
-            let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                gen_incremental_pair(&mut rng),
-                (base, mutated),
-                "seed {seed}: pair generation must be deterministic"
-            );
-        }
     }
 
     #[test]

@@ -1028,7 +1028,6 @@ impl<'p> CompiledMachine<'p> {
         let clean = RunConfig {
             injection: None,
             profile_sites: false,
-            trace_eligible: false,
             wall_limit: None,
             ..config.clone()
         };
@@ -1972,8 +1971,8 @@ impl Ladder {
     /// Whether a run of `config` may start from or stop at a
     /// checkpoint: a global-index injection plan on the captured entry
     /// and arguments, with a budget the golden run fits, and no
-    /// wall-clock watchdog (it measures from run start), site profile,
-    /// or eligible trace (both need every instruction executed).
+    /// wall-clock watchdog (it measures from run start) or site profile
+    /// (it needs every instruction executed).
     pub fn serves(&self, config: &RunConfig) -> bool {
         let same_args = config.args.len() == self.args.len()
             && config
@@ -1986,7 +1985,6 @@ impl Ladder {
             && same_args
             && config.wall_limit.is_none()
             && !config.profile_sites
-            && !config.trace_eligible
             && config.max_insts >= self.golden.dynamic_insts
     }
 
@@ -2404,30 +2402,6 @@ bb0:
         };
         let (a, b) = both(LOOP_SRC, &config);
         assert_eq!(a.site_profile, b.site_profile);
-    }
-
-    #[test]
-    fn eligible_trace_matches_reference() {
-        let config = RunConfig {
-            trace_eligible: true,
-            ..RunConfig::default()
-        };
-        let (a, b) = both(LOOP_SRC, &config);
-        assert_identical(&a, &b);
-        let trace = a.eligible_trace.expect("trace requested");
-        assert_eq!(trace, b.eligible_trace.expect("trace requested"));
-        // The RLE runs cover the eligible sequence exactly, and the
-        // encoding is maximal (no two adjacent runs share a site).
-        assert_eq!(
-            trace.iter().map(|&(_, _, n)| n).sum::<u64>(),
-            a.eligible_results
-        );
-        for w in trace.windows(2) {
-            assert_ne!((w[0].0, w[0].1), (w[1].0, w[1].1), "non-maximal run");
-        }
-        // Without the flag, no trace is produced.
-        let (c, _) = both(LOOP_SRC, &RunConfig::default());
-        assert!(c.eligible_trace.is_none());
     }
 
     #[test]

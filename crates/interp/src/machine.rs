@@ -303,14 +303,6 @@ pub struct RunConfig {
     /// static-site-uniform sampling; off by default — it costs a hash
     /// update per eligible result).
     pub profile_sites: bool,
-    /// Record the eligible-result sequence as a run-length-encoded site
-    /// trace (`(func, inst, count)` runs, in execution order). This is
-    /// the map from a global eligible index to the static site that
-    /// produces it — section-granular campaigns use it to assign each
-    /// plan to the section its target executes in. Off by default: the
-    /// trace forces the compiled engine onto its slow injection path,
-    /// so it is collected once per campaign, never per plan.
-    pub trace_eligible: bool,
 }
 
 impl Default for RunConfig {
@@ -321,7 +313,6 @@ impl Default for RunConfig {
             max_insts: u64::MAX,
             injection: None,
             profile_sites: false,
-            trace_eligible: false,
             wall_limit: None,
         }
     }
@@ -469,12 +460,6 @@ pub struct RunOutput {
     /// this profile must sort by site first (as
     /// `ipas_faultsim::profile_sites` does).
     pub site_profile: Option<std::collections::HashMap<(FuncId, InstId), u64>>,
-    /// The eligible-result sequence as `(func, inst, count)` runs, in
-    /// execution order (present when [`RunConfig::trace_eligible`] was
-    /// set). The counts sum to [`RunOutput::eligible_results`];
-    /// prefix-summing them maps any global eligible index back to its
-    /// static site.
-    pub eligible_trace: Option<Vec<(FuncId, InstId, u64)>>,
     /// Dynamic instruction count at the moment of injection. Combined
     /// with [`RunOutput::dynamic_insts`] this gives the *detection
     /// latency* (how far the error propagated before being caught) —
@@ -539,9 +524,6 @@ pub(crate) struct RunState<'e> {
     pub(crate) site_instance: u64,
     pub(crate) profile_sites: bool,
     pub(crate) site_profile: std::collections::HashMap<(FuncId, InstId), u64>,
-    pub(crate) trace_eligible: bool,
-    /// RLE eligible-site trace (see [`RunOutput::eligible_trace`]).
-    pub(crate) eligible_trace: Vec<(FuncId, InstId, u64)>,
     pub(crate) env: &'e mut dyn Env,
     /// Next `dynamic_insts` value at which [`HotCounters::tick`] must
     /// run its slow path (budget exhaustion, poison/deadline poll, or a
@@ -605,8 +587,6 @@ impl<'e> RunState<'e> {
             site_instance: 0,
             profile_sites: config.profile_sites,
             site_profile: std::collections::HashMap::new(),
-            trace_eligible: config.trace_eligible,
-            eligible_trace: Vec::new(),
             env,
             next_stop: POISON_POLL_INTERVAL.min(config.max_insts.saturating_add(1)),
             checkpoint_stop: u64::MAX,
@@ -615,7 +595,6 @@ impl<'e> RunState<'e> {
             store_target: class_target(config.injection, SiteClass::Store),
             branch_target: class_target(config.injection, SiteClass::Branch),
             slow_inject: config.profile_sites
-                || config.trace_eligible
                 || matches!(config.injection, Some(Injection { site: Some(_), .. })),
         }
     }
@@ -673,11 +652,6 @@ impl<'e> RunState<'e> {
             } else {
                 None
             },
-            eligible_trace: if self.trace_eligible {
-                Some(self.eligible_trace)
-            } else {
-                None
-            },
         };
         (output, self.memory)
     }
@@ -721,9 +695,6 @@ pub(crate) fn maybe_inject(
     if state.profile_sites {
         *state.site_profile.entry((fid, id)).or_insert(0) += 1;
     }
-    if state.trace_eligible {
-        trace_eligible_site(state, fid, id);
-    }
     let counter = match state.injection {
         Some(Injection { site: Some(s), .. }) => {
             if s != (fid, id) {
@@ -746,16 +717,6 @@ pub(crate) fn maybe_inject(
             )
         }
         _ => value,
-    }
-}
-
-/// Appends one eligible execution of `(fid, id)` to the RLE trace,
-/// merging into the previous run when the site repeats back-to-back.
-#[inline]
-fn trace_eligible_site(state: &mut RunState<'_>, fid: FuncId, id: InstId) {
-    match state.eligible_trace.last_mut() {
-        Some((f, i, n)) if *f == fid && *i == id => *n += 1,
-        _ => state.eligible_trace.push((fid, id, 1)),
     }
 }
 
@@ -1054,9 +1015,6 @@ fn inject_slow_bits(
 ) -> u64 {
     if state.profile_sites {
         *state.site_profile.entry((fid, id)).or_insert(0) += 1;
-    }
-    if state.trace_eligible {
-        trace_eligible_site(state, fid, id);
     }
     let counter = match state.injection {
         Some(Injection { site: Some(s), .. }) => {

@@ -38,32 +38,18 @@ pub fn print_function(func: &Function, module: Option<&Module>) -> String {
     }
     out.push_str(" {\n");
     for bb in func.block_ids() {
-        out.push_str(&print_block(func, bb, module));
+        let _ = writeln!(out, "{bb}:");
+        for &id in func.block(bb).insts() {
+            let inst = func.inst(id);
+            out.push_str("  ");
+            if inst.has_result() {
+                let _ = write!(out, "%v{} = ", id.index());
+            }
+            out.push_str(&print_inst(inst, module));
+            out.push('\n');
+        }
     }
     out.push_str("}\n");
-    out
-}
-
-/// Renders one basic block (`bbN:` label plus its instructions) exactly
-/// as it appears inside [`print_function`]. Section fingerprints hash a
-/// subset of a function's blocks through this, so a block's fingerprint
-/// text and its printed-module text can never drift apart.
-pub fn print_block(
-    func: &Function,
-    bb: crate::function::BlockId,
-    module: Option<&Module>,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{bb}:");
-    for &id in func.block(bb).insts() {
-        let inst = func.inst(id);
-        out.push_str("  ");
-        if inst.has_result() {
-            let _ = write!(out, "%v{} = ", id.index());
-        }
-        out.push_str(&print_inst(inst, module));
-        out.push('\n');
-    }
     out
 }
 

@@ -10,8 +10,7 @@
 //! three task shapes on the scheduler:
 //!
 //! 1. **prepare** — compile the source, build the workload, pre-draw
-//!    the full injection plan list (tagged with section ids for
-//!    sectional jobs), open the job's [`CampaignRuntime`] (resuming
+//!    the full injection plan list, open the job's [`CampaignRuntime`] (resuming
 //!    completed plan indices from a previous daemon process's journal),
 //!    and split the pending indices into chunks distributed across
 //!    shards;
@@ -49,7 +48,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use ipas_analysis::sections::SectionPartition;
 use ipas_core::adaptive::{AdaptiveDriver, AdaptiveParams};
 use ipas_core::classifier::TrainedClassifier;
 use ipas_core::experiment::{
@@ -60,7 +58,6 @@ use ipas_core::jobspec::{JobKind, JobSpec};
 use ipas_core::memo::{dataset_from_artifact, training_set_artifact};
 use ipas_core::policy::ProtectionPolicy;
 use ipas_core::training::LabelKind;
-use ipas_faultsim::sections::assign_sections;
 use ipas_faultsim::{draw_plans, outcome_line, CampaignResult, CampaignRuntime, Workload};
 use ipas_store::{
     ArtifactKind, CampaignSummary, Fingerprint, Key, ProtectedModule, SingleFlight, Store,
@@ -441,20 +438,12 @@ impl Daemon {
                 .map_err(|e| format!("plan drawing failed: {e}"))?;
             (None, plans)
         };
-        let tags: Vec<Option<u32>> = if spec.sections {
-            let partition = SectionPartition::compute(&workload.module);
-            assign_sections(&workload, &partition, &plans)
-                .map_err(|e| format!("section assignment failed: {e}"))?
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            vec![None; plans.len()]
-        };
         let round_runs = adaptive.as_ref().map(|d| d.params().round_runs);
         let runtime = CampaignRuntime::open(workload, &config, &options, round_runs)
             .map_err(|e| e.to_string())?;
-        let total = runtime.append(plans.into_iter().zip(tags)).len();
+        let total = runtime
+            .append(plans.into_iter().map(|plan| (plan, None)))
+            .len();
         // Lower the module (and capture the ladder) in this task, so the
         // job's chunks never wait on one another for it.
         runtime.prepare();

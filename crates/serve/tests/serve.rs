@@ -190,84 +190,6 @@ fn graceful_shutdown_drains_and_restart_resumes_from_journal() {
     daemon.join().unwrap();
 }
 
-const TWO_FN_SOURCE: &str = "fn sq(n: int) -> int {
-    let s: int = 0;
-    for (let i: int = 0; i < n; i = i + 1) { s = s + i * i; }
-    return s;
-}
-fn main() -> int {
-    output_i(sq(40));
-    let b: int = 0;
-    for (let j: int = 0; j < 25; j = j + 1) { b = b + j * 3; }
-    output_i(b);
-    return 0;
-}";
-
-#[test]
-fn sectional_jobs_tag_the_journal_and_keep_the_summary_identical() {
-    let dir = test_dir("sections");
-    let cfg = config(&dir, 2, 8);
-    let (daemon, client) = start_daemon(cfg.clone());
-
-    let mut plain = JobSpec::new(JobKind::Campaign, "acme", "twofn", TWO_FN_SOURCE);
-    plain.runs = 48;
-    plain.seed = 7;
-    let mut sectional = plain.clone();
-    sectional.sections = true;
-    assert_ne!(
-        plain.job_id(),
-        sectional.job_id(),
-        "sectional work has its own job id"
-    );
-
-    let mut out_plain = Vec::new();
-    client
-        .submit(&plain, true, &mut out_plain, &mut Vec::new())
-        .unwrap();
-    let mut out_sectional = Vec::new();
-    client
-        .submit(&sectional, true, &mut out_sectional, &mut Vec::new())
-        .unwrap();
-    assert_eq!(
-        out_sectional, out_plain,
-        "section tags are invisible in the summary"
-    );
-
-    let journal = |id: &str| {
-        std::fs::read_to_string(cfg.state_dir.join("journals").join(format!("{id}.jsonl")))
-            .expect("journal written")
-    };
-    let (sectional_journal, plain_journal) =
-        (journal(&sectional.job_id()), journal(&plain.job_id()));
-    assert!(
-        sectional_journal
-            .lines()
-            .skip(1)
-            .all(|line| line.contains("\"sec\":")),
-        "every sectional record carries its own section tag"
-    );
-    assert!(
-        !plain_journal.contains("\"sec\":"),
-        "plain records stay untagged"
-    );
-    // Untagged, the two journals hold the same records.
-    let untagged = |text: &str| {
-        let mut lines: Vec<String> = text
-            .lines()
-            .map(|line| match line.find(",\"sec\":") {
-                Some(at) => format!("{}}}", &line[..at]),
-                None => line.to_string(),
-            })
-            .collect();
-        lines.sort();
-        lines
-    };
-    assert_eq!(untagged(&sectional_journal), untagged(&plain_journal));
-
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
-}
-
 #[test]
 fn adaptive_jobs_round_tag_the_journal_and_resume_across_restarts() {
     let dir = test_dir("adaptive");
@@ -348,14 +270,28 @@ fn bad_eval_specs_fail_the_job_instead_of_killing_the_worker() {
     std::fs::create_dir_all(&jobs_dir).unwrap();
     let checkpoint = jobs_dir.join(format!("{}.job", crafted.job_id()));
     std::fs::write(&checkpoint, &stripped).unwrap();
+    // A checkpoint left by a daemon that still ran sectional campaigns:
+    // decode refuses its `sections` field.
+    let mut plain = JobSpec::new(JobKind::Campaign, "acme", "sumsq", SOURCE);
+    plain.runs = 48;
+    let sectional = plain
+        .encode("jobspec")
+        .replacen("}\n", ",\"sections\":1}\n", 1);
+    let sectional_checkpoint = jobs_dir.join("sectional.job");
+    std::fs::write(&sectional_checkpoint, sectional).unwrap();
 
     let (daemon, client) = start_daemon(cfg);
     assert!(
         !checkpoint.exists(),
         "invalid checkpoint dropped at restore"
     );
+    assert!(
+        !sectional_checkpoint.exists(),
+        "sectional checkpoint dropped at restore"
+    );
     let stats = client.stats().unwrap();
-    assert_eq!(field(&stats, "jobs"), 0, "crafted job never admitted");
+    assert_eq!(field(&stats, "jobs"), 0, "crafted jobs never admitted");
+    assert_eq!(field(&stats, "executed_runs"), 0);
 
     // An eval spec that validates but references a module the store has
     // never seen reaches prepare; the job must fail with a clear event,

@@ -29,7 +29,7 @@ use ipas_ir::sha256::push_hex;
 /// Envelope format version.
 pub const ENVELOPE_VERSION: u32 = 1;
 
-/// The seven artifact kinds the pipeline persists.
+/// The five artifact kinds the pipeline persists.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// Labeled feature rows extracted from a training campaign.
@@ -42,23 +42,16 @@ pub enum ArtifactKind {
     ProtectedModule,
     /// A fuzzing finding: the divergent input plus its minimized repro.
     FuzzRepro,
-    /// Injection outcomes of one section of a sectional campaign.
-    SectionProfile,
-    /// Baseline index of a sectional campaign: per-section fingerprints
-    /// and profile keys, for incremental re-analysis.
-    SectionIndex,
 }
 
 impl ArtifactKind {
     /// All kinds, in listing order.
-    pub const ALL: [ArtifactKind; 7] = [
+    pub const ALL: [ArtifactKind; 5] = [
         ArtifactKind::TrainingSet,
         ArtifactKind::TrainedModel,
         ArtifactKind::CampaignSummary,
         ArtifactKind::ProtectedModule,
         ArtifactKind::FuzzRepro,
-        ArtifactKind::SectionProfile,
-        ArtifactKind::SectionIndex,
     ];
 
     /// The on-disk directory / header tag for this kind.
@@ -69,8 +62,6 @@ impl ArtifactKind {
             ArtifactKind::CampaignSummary => "campaign-summary",
             ArtifactKind::ProtectedModule => "protected-module",
             ArtifactKind::FuzzRepro => "fuzz-repro",
-            ArtifactKind::SectionProfile => "section-profile",
-            ArtifactKind::SectionIndex => "section-index",
         }
     }
 
@@ -87,8 +78,6 @@ impl ArtifactKind {
             ArtifactKind::CampaignSummary => CampaignSummary::SCHEMA,
             ArtifactKind::ProtectedModule => ProtectedModule::SCHEMA,
             ArtifactKind::FuzzRepro => FuzzRepro::SCHEMA,
-            ArtifactKind::SectionProfile => SectionProfile::SCHEMA,
-            ArtifactKind::SectionIndex => SectionIndex::SCHEMA,
         }
     }
 }
@@ -997,291 +986,6 @@ impl Payload for FuzzRepro {
     }
 }
 
-// ---------------------------------------------------------------------
-// SectionProfile
-
-/// One cached injection record of a section profile — the store-side
-/// mirror of a faultsim `InjectionRecord` plus its plan index, in plain
-/// string/integer fields (this crate never depends on the simulator).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionRecordRow {
-    /// Plan index in the campaign's pre-drawn plan list.
-    pub plan: u64,
-    /// Fault-model wire token (e.g. `single-bit`).
-    pub model: String,
-    /// Injected function id.
-    pub func: u64,
-    /// Injected instruction id.
-    pub inst: u64,
-    /// Targeted dynamic index.
-    pub target: u64,
-    /// Corruption parameter.
-    pub bit: u32,
-    /// Outcome wire token (`symptom|detected|masked|soc`).
-    pub outcome: String,
-    /// Dynamic instructions executed by the faulty run.
-    pub dynamic_insts: u64,
-    /// Injection-to-end latency in dynamic instructions.
-    pub latency: u64,
-    /// Attempts the run took to classify.
-    pub attempts: u32,
-}
-
-/// One cached harness failure of a section profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionFailureRow {
-    /// Plan index.
-    pub plan: u64,
-    /// Targeted dynamic index.
-    pub target: u64,
-    /// Corruption parameter.
-    pub bit: u32,
-    /// Attempts consumed.
-    pub attempts: u32,
-    /// The last attempt's error (may span lines).
-    pub error: String,
-}
-
-/// The cached injection outcomes of one section of a sectional
-/// campaign, keyed in the store by the section's content fingerprint
-/// plus the campaign's run identity. An incremental re-run splices
-/// these rows in verbatim for sections whose fingerprint and plan
-/// slice are unchanged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionProfile {
-    /// Workload display name (provenance only).
-    pub workload: String,
-    /// Section display label (`@f`, `@f/loop0`; provenance only).
-    pub section_label: String,
-    /// Hex fingerprint of the section's content (label + block text).
-    pub section_fingerprint: String,
-    /// Hex digest of the section's plan slice (indices + parameters).
-    pub plan_digest: String,
-    /// Classified records, in plan order.
-    pub records: Vec<SectionRecordRow>,
-    /// Harness failures, in plan order.
-    pub failures: Vec<SectionFailureRow>,
-}
-
-impl Payload for SectionProfile {
-    const KIND: ArtifactKind = ArtifactKind::SectionProfile;
-    const SCHEMA: u32 = 1;
-
-    fn encode_body(&self, out: &mut String) {
-        out.push_str(&format!("workload {}\n", self.workload));
-        out.push_str(&format!("section {}\n", self.section_label));
-        out.push_str(&format!("fingerprint {}\n", self.section_fingerprint));
-        out.push_str(&format!("plan-digest {}\n", self.plan_digest));
-        out.push_str(&format!("records {}\n", self.records.len()));
-        for r in &self.records {
-            out.push_str(&format!(
-                "{} {} {} {} {} {} {} {} {} {}\n",
-                r.plan,
-                r.model,
-                r.func,
-                r.inst,
-                r.target,
-                r.bit,
-                r.outcome,
-                r.dynamic_insts,
-                r.latency,
-                r.attempts
-            ));
-        }
-        out.push_str(&format!("failures {}\n", self.failures.len()));
-        for f in &self.failures {
-            out.push_str(&format!(
-                "failure {} {} {} {}\n",
-                f.plan, f.target, f.bit, f.attempts
-            ));
-            encode_block(out, "error", &f.error);
-        }
-    }
-
-    fn decode_body(body: &str) -> Result<Self, String> {
-        let mut lines = body.lines();
-        let workload = expect_field(lines.next(), "workload")?.to_string();
-        let section_label = expect_field(lines.next(), "section")?.to_string();
-        let section_fingerprint = expect_field(lines.next(), "fingerprint")?.to_string();
-        let plan_digest = expect_field(lines.next(), "plan-digest")?.to_string();
-        let n: usize = parse_num(expect_field(lines.next(), "records")?, "record count")?;
-        let mut records = Vec::with_capacity(n);
-        for i in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("profile truncated: {i} of {n} records present"))?;
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.len() != 10 {
-                return Err(format!("record {i} has {} fields, want 10", toks.len()));
-            }
-            records.push(SectionRecordRow {
-                plan: parse_num(toks[0], "plan")?,
-                model: toks[1].to_string(),
-                func: parse_num(toks[2], "func")?,
-                inst: parse_num(toks[3], "inst")?,
-                target: parse_num(toks[4], "target")?,
-                bit: parse_num(toks[5], "bit")?,
-                outcome: toks[6].to_string(),
-                dynamic_insts: parse_num(toks[7], "insts")?,
-                latency: parse_num(toks[8], "latency")?,
-                attempts: parse_num(toks[9], "attempts")?,
-            });
-        }
-        let m: usize = parse_num(expect_field(lines.next(), "failures")?, "failure count")?;
-        let mut failures = Vec::with_capacity(m);
-        for i in 0..m {
-            let head = expect_field(lines.next(), "failure")?;
-            let toks: Vec<&str> = head.split_whitespace().collect();
-            if toks.len() != 4 {
-                return Err(format!("failure {i} has {} fields, want 4", toks.len()));
-            }
-            let error = decode_block(&mut lines, "error")?;
-            failures.push(SectionFailureRow {
-                plan: parse_num(toks[0], "plan")?,
-                target: parse_num(toks[1], "target")?,
-                bit: parse_num(toks[2], "bit")?,
-                attempts: parse_num(toks[3], "attempts")?,
-                error,
-            });
-        }
-        if lines.next().is_some() {
-            return Err("trailing data after final failure".to_string());
-        }
-        Ok(SectionProfile {
-            workload,
-            section_label,
-            section_fingerprint,
-            plan_digest,
-            records,
-            failures,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// SectionIndex
-
-/// One section's row in a [`SectionIndex`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionIndexEntry {
-    /// Hex fingerprint of the section's content.
-    pub fingerprint: String,
-    /// Hex digest of the section's plan slice.
-    pub plan_digest: String,
-    /// Store key of the section's [`SectionProfile`].
-    pub profile_key: String,
-    /// Plans assigned to the section.
-    pub plans: u64,
-    /// Section display label.
-    pub label: String,
-}
-
-/// The baseline artifact of a sectional campaign: the campaign's run
-/// identity plus one entry per section, in section-id order. An
-/// incremental re-run loads this, re-partitions the new module, and
-/// reuses every section whose fingerprint and plan digest still match
-/// under an unchanged run identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionIndex {
-    /// Workload display name.
-    pub workload: String,
-    /// Planned runs.
-    pub runs: u64,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Fault-model wire token.
-    pub fault_model: String,
-    /// Sampling-mode wire token (`dynamic|static`).
-    pub sampling: String,
-    /// Eligible dynamic results of the clean run.
-    pub eligible_results: u64,
-    /// Clean-run dynamic instruction count.
-    pub nominal_insts: u64,
-    /// Per-section entries, in section-id order.
-    pub sections: Vec<SectionIndexEntry>,
-}
-
-impl Payload for SectionIndex {
-    const KIND: ArtifactKind = ArtifactKind::SectionIndex;
-    const SCHEMA: u32 = 1;
-
-    fn encode_body(&self, out: &mut String) {
-        out.push_str(&format!("workload {}\n", self.workload));
-        out.push_str(&format!("runs {}\n", self.runs));
-        out.push_str(&format!("seed {}\n", self.seed));
-        out.push_str(&format!("model {}\n", self.fault_model));
-        out.push_str(&format!("sampling {}\n", self.sampling));
-        out.push_str(&format!("eligible {}\n", self.eligible_results));
-        out.push_str(&format!("nominal {}\n", self.nominal_insts));
-        out.push_str(&format!("sections {}\n", self.sections.len()));
-        for s in &self.sections {
-            // The label goes last: it is the only field that could ever
-            // grow internal structure.
-            out.push_str(&format!(
-                "{} {} {} {} {}\n",
-                s.fingerprint, s.plan_digest, s.profile_key, s.plans, s.label
-            ));
-        }
-    }
-
-    fn decode_body(body: &str) -> Result<Self, String> {
-        let mut lines = body.lines();
-        let workload = expect_field(lines.next(), "workload")?.to_string();
-        let runs = parse_num(expect_field(lines.next(), "runs")?, "runs")?;
-        let seed = parse_num(expect_field(lines.next(), "seed")?, "seed")?;
-        let fault_model = expect_field(lines.next(), "model")?.to_string();
-        let sampling = expect_field(lines.next(), "sampling")?.to_string();
-        let eligible_results = parse_num(expect_field(lines.next(), "eligible")?, "eligible")?;
-        let nominal_insts = parse_num(expect_field(lines.next(), "nominal")?, "nominal")?;
-        let n: usize = parse_num(expect_field(lines.next(), "sections")?, "section count")?;
-        let mut sections = Vec::with_capacity(n);
-        for i in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("index truncated: {i} of {n} sections present"))?;
-            let mut toks = line.splitn(5, ' ');
-            let fingerprint = toks.next().ok_or("empty section line")?.to_string();
-            let plan_digest = toks
-                .next()
-                .ok_or_else(|| format!("section {i} missing plan digest"))?
-                .to_string();
-            let profile_key = toks
-                .next()
-                .ok_or_else(|| format!("section {i} missing profile key"))?
-                .to_string();
-            let plans = parse_num(
-                toks.next()
-                    .ok_or_else(|| format!("section {i} missing plan count"))?,
-                "plan count",
-            )?;
-            let label = toks
-                .next()
-                .ok_or_else(|| format!("section {i} missing label"))?
-                .to_string();
-            sections.push(SectionIndexEntry {
-                fingerprint,
-                plan_digest,
-                profile_key,
-                plans,
-                label,
-            });
-        }
-        if lines.next().is_some() {
-            return Err("trailing data after final section".to_string());
-        }
-        Ok(SectionIndex {
-            workload,
-            runs,
-            seed,
-            fault_model,
-            sampling,
-            eligible_results,
-            nominal_insts,
-            sections,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1563,81 +1267,6 @@ mod tests {
         let (kind, schema) = inspect(&encode(&r), "<memory>").unwrap();
         assert_eq!(kind, ArtifactKind::FuzzRepro);
         assert_eq!(schema, FuzzRepro::SCHEMA);
-    }
-
-    #[test]
-    fn section_profile_round_trips() {
-        let p = SectionProfile {
-            workload: "comd".into(),
-            section_label: "@force/loop0".into(),
-            section_fingerprint: "ab12".into(),
-            plan_digest: "cd34".into(),
-            records: vec![SectionRecordRow {
-                plan: 7,
-                model: "single-bit".into(),
-                func: 1,
-                inst: 22,
-                target: 9000,
-                bit: 41,
-                outcome: "soc".into(),
-                dynamic_insts: 123456,
-                latency: 789,
-                attempts: 1,
-            }],
-            failures: vec![SectionFailureRow {
-                plan: 11,
-                target: 42,
-                bit: 5,
-                attempts: 3,
-                error: "panicked: \"index out\nof bounds\"".into(),
-            }],
-        };
-        let back: SectionProfile = decode(&encode(&p)).unwrap();
-        // Multi-line errors are newline-normalized by the block codec.
-        assert_eq!(
-            back.failures[0].error,
-            "panicked: \"index out\nof bounds\"\n"
-        );
-        let mut normalized = p.clone();
-        normalized.failures[0].error.push('\n');
-        assert_eq!(back, normalized);
-        let (kind, schema) = inspect(&encode(&p), "<memory>").unwrap();
-        assert_eq!(kind, ArtifactKind::SectionProfile);
-        assert_eq!(schema, SectionProfile::SCHEMA);
-    }
-
-    #[test]
-    fn section_index_round_trips() {
-        let idx = SectionIndex {
-            workload: "hpccg".into(),
-            runs: 400,
-            seed: 2016,
-            fault_model: "single-bit".into(),
-            sampling: "dynamic".into(),
-            eligible_results: 987654,
-            nominal_insts: 1234567,
-            sections: vec![
-                SectionIndexEntry {
-                    fingerprint: "aa".into(),
-                    plan_digest: "bb".into(),
-                    profile_key: "cc-dd".into(),
-                    plans: 123,
-                    label: "@main".into(),
-                },
-                SectionIndexEntry {
-                    fingerprint: "ee".into(),
-                    plan_digest: "ff".into(),
-                    profile_key: "11-22".into(),
-                    plans: 277,
-                    label: "@ddot/loop0".into(),
-                },
-            ],
-        };
-        let back: SectionIndex = decode(&encode(&idx)).unwrap();
-        assert_eq!(back, idx);
-        let (kind, schema) = inspect(&encode(&idx), "<memory>").unwrap();
-        assert_eq!(kind, ArtifactKind::SectionIndex);
-        assert_eq!(schema, SectionIndex::SCHEMA);
     }
 
     #[test]

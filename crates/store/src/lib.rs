@@ -36,9 +36,8 @@ pub mod registry;
 pub mod store;
 
 pub use artifact::{
-    ArtifactKind, CampaignSummary, FuzzRepro, ProtectedModule, SectionFailureRow, SectionIndex,
-    SectionIndexEntry, SectionProfile, SectionRecordRow, StoreError, TrainedModel, TrainingRow,
-    TrainingSet,
+    ArtifactKind, CampaignSummary, FuzzRepro, ProtectedModule, StoreError, TrainedModel,
+    TrainingRow, TrainingSet,
 };
 pub use flight::{FlightEntry, SingleFlight};
 pub use hash::{Fingerprint, FingerprintBuilder};

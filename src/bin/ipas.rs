@@ -25,10 +25,6 @@
 //!   ipas explain <file.scil> [--runs N]    # per-instruction decisions
 //!   ipas campaign <file.scil> [--runs N] [--seed S] [--fault-model M|all]
 //!                 [--journal FILE]  # raw campaign, SOC/DDC/benign breakdown
-//!                 [--sections] [--incremental [--baseline KEY]]
-//!                                   # section-granular execution; incremental
-//!                                   # reuses unchanged sections from the
-//!                                   # store (see docs/incremental.md)
 //!                 [--adaptive [--round-runs N] [--entropy-tol T] [--patience P]]
 //!                                   # margin-driven active-learning rounds
 //!                                   # (see docs/active-learning.md)
@@ -52,6 +48,10 @@
 //! tree-walking interpreter). Both produce bit-identical results — the
 //! knob only trades throughput, and exists so any discrepancy can be
 //! cross-checked against the reference semantics.
+//!
+//! A flag that no subcommand reads, or a flag value that does not
+//! parse, is an error that names the flag; nothing runs with a default
+//! in its place.
 //!
 //! `--policy` selects `ipas` (default), `full`, or `baseline`.
 //! The program's verified output stream is whatever it emits through
@@ -77,9 +77,9 @@ use std::process::ExitCode;
 use ipas::core::{
     campaign_summary, check_labels, classifier_stage, compare_fault_models, dataset_from_artifact,
     evaluation_stage, memoized_protect, module_fingerprint, render_model_table,
-    run_campaign_adaptive, run_campaign_incremental, summary_key, train_top_configs, training_key,
-    training_set_artifact, training_stage, with_run_identity, AdaptiveParams, AdaptiveResult,
-    ExperimentError, LabelKind, ProtectionPolicy, TrainedClassifier,
+    run_campaign_adaptive, summary_key, train_top_configs, training_key, training_set_artifact,
+    training_stage, with_run_identity, AdaptiveParams, AdaptiveResult, ExperimentError, LabelKind,
+    ProtectionPolicy, TrainedClassifier,
 };
 use ipas::faultsim::{
     margin_of_error, run_campaign, run_campaign_with, CampaignConfig, CampaignOptions,
@@ -91,18 +91,65 @@ use ipas::store::{
 };
 use ipas::svm::GridOptions;
 
+/// Every flag the binary reads; [`Args::parse`] refuses any other.
+const FLAGS: &[&str] = &[
+    "adaptive",
+    "bit",
+    "chunk",
+    "deadline-ms",
+    "engine",
+    "entropy-tol",
+    "eval",
+    "fault-model",
+    "journal",
+    "kind",
+    "model",
+    "module-key",
+    "name",
+    "oracle",
+    "out",
+    "passes",
+    "patience",
+    "policy",
+    "quota-runs",
+    "round-runs",
+    "runs",
+    "save-model",
+    "seed",
+    "shards",
+    "socket",
+    "state",
+    "stats",
+    "target",
+    "tenant",
+    "threads",
+    "tolerance",
+    "top",
+    "verify-each",
+    "watch",
+];
+
 struct Args {
     positional: Vec<String>,
     flags: std::collections::HashMap<String, String>,
 }
 
 impl Args {
-    fn parse() -> Self {
+    /// Splits the command line into positionals and `--flag value`
+    /// pairs.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first flag not in [`FLAGS`].
+    fn parse() -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = std::collections::HashMap::new();
         let mut it = std::env::args().skip(1).peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
+                if !FLAGS.contains(&name) {
+                    return Err(format!("unknown flag `--{name}`"));
+                }
                 // Valueless flags (--stats, --verify-each) must not
                 // swallow a following flag as their value.
                 let value = match it.peek() {
@@ -114,14 +161,23 @@ impl Args {
                 positional.push(a);
             }
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
+    /// The value of `--name`, or `default` when the flag is absent.
+    /// Exits with an error naming the flag when the value does not
+    /// parse.
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(value) = self.flags.get(name) else {
+            return default;
+        };
+        value.parse().unwrap_or_else(|_| {
+            match value.as_str() {
+                "" => eprintln!("ipas: `--{name}` needs a value"),
+                _ => eprintln!("ipas: invalid value `{value}` for `--{name}`"),
+            }
+            std::process::exit(1)
+        })
     }
 }
 
@@ -134,8 +190,6 @@ fn usage() -> ExitCode {
          \x20      [--engine reference|compiled] [--fault-model M]\n\
          \x20      ipas campaign <file.scil> [--runs N] [--seed S] [--fault-model M|all]\n\
          \x20                    [--journal FILE]   # raw campaign + SOC/DDC/benign breakdown\n\
-         \x20                    [--sections] [--incremental [--baseline KEY]]\n\
-         \x20                    # section-granular / reuse unchanged sections from the store\n\
          \x20                    [--adaptive [--round-runs N] [--entropy-tol T] [--patience P]]\n\
          \x20                    # margin-driven active-learning rounds (also on `train`)\n\
          \x20      ipas ir <file.scil> [--passes SPEC] [--stats] [--verify-each]\n\
@@ -147,7 +201,6 @@ fn usage() -> ExitCode {
          \x20      ipas client <submit <file.scil>|status ID|watch ID|cancel ID|stats|shutdown>\n\
          \x20                  [--socket PATH] [--kind campaign|protect|train|eval] [--watch]\n\
          \x20                  [--tenant T] [--name N] [--module-key KEY] [--deadline-ms MS]\n\
-         \x20                  [--sections]   # campaign jobs: section-tagged journal\n\
          \x20                  [--adaptive]   # campaign jobs: active-learning rounds\n\
          fault models M: single-bit (default), burst<W>, stuck-value, load-value, store-value, \
          branch-flip"
@@ -394,8 +447,7 @@ fn execute(
 }
 
 /// Prints the SOC/DDC/benign breakdown to stdout. Shared verbatim by
-/// the classic, `--sections`, and `--incremental` campaign paths so
-/// their stdout can be compared byte for byte.
+/// the classic and `--adaptive` campaign paths.
 fn print_breakdown(fault_model: FaultModel, summary: &CampaignSummary) {
     // §5.5 outcome slots: [symptom, detected, masked, soc].
     let classified: u64 = summary.counts.iter().sum();
@@ -498,23 +550,9 @@ fn campaign_command(args: &Args, module: ipas::ir::Module, engine: Engine) -> Ex
             Err(code) => return code,
         };
         let adaptive = args.flags.contains_key("adaptive");
-        let incremental =
-            args.flags.contains_key("incremental") || args.flags.contains_key("baseline");
-        let sections = args.flags.contains_key("sections");
-        if adaptive && (sections || incremental) {
-            eprintln!(
-                "ipas: --adaptive draws its own round-by-round plans and cannot \
-                 combine with --sections or --incremental"
-            );
-            return ExitCode::FAILURE;
-        }
         let run = || -> Result<CampaignSummary, String> {
             let result = if adaptive {
                 adaptive_campaign(args, &workload, &config, &options)?
-            } else if incremental {
-                incremental_campaign(args, &workload, &config, &options, store.as_ref())?
-            } else if sections {
-                sectional_campaign(&workload, &config, &options)?
             } else {
                 eprintln!("[ipas] campaign: {runs} {fault_model} injections ...");
                 run_campaign_with(&workload, &config, &options)
@@ -533,7 +571,7 @@ fn campaign_command(args: &Args, module: ipas::ir::Module, engine: Engine) -> Ex
         // a store is configured; journaled runs always execute (the
         // journal file is the point).
         let summary = match &store {
-            Some(store) if !(adaptive || incremental || sections) && options.journal.is_none() => {
+            Some(store) if !adaptive && options.journal.is_none() => {
                 let key = summary_key(&workload, &config);
                 store
                     .memoize(&key, run)
@@ -620,72 +658,6 @@ fn adaptive_campaign(
         .map_err(|e| format!("campaign failed: {e}"))?;
     print_rounds(&out, config.runs);
     Ok(out.result)
-}
-
-/// `ipas campaign --sections`: the same campaign executed section by
-/// section — partition the module, run each section's plan slice,
-/// splice. The partition shape goes to stderr; stdout stays
-/// byte-identical to the classic path.
-fn sectional_campaign(
-    workload: &Workload,
-    config: &CampaignConfig,
-    options: &CampaignOptions,
-) -> Result<CampaignResult, String> {
-    eprintln!(
-        "[ipas] campaign: {} {} injections across sections ...",
-        config.runs, config.fault_model
-    );
-    let campaign = ipas::faultsim::sections::run_campaign_sectional(workload, config, options)
-        .map_err(|e| format!("campaign failed: {e}"))?;
-    eprintln!(
-        "[ipas] sections: {} sections, {} plans",
-        campaign.partition.len(),
-        campaign.assignment.len()
-    );
-    Ok(campaign.result)
-}
-
-/// `ipas campaign --incremental [--baseline KEY]`: section-granular
-/// campaign that stores one profile per section and, given a baseline
-/// (a prior run's section-index key), reuses profiles for sections
-/// whose code and plan slice are unchanged. Reuse statistics and the
-/// new baseline key go to stderr; stdout stays byte-identical to a
-/// from-scratch campaign on the same module.
-fn incremental_campaign(
-    args: &Args,
-    workload: &Workload,
-    config: &CampaignConfig,
-    options: &CampaignOptions,
-    store: Option<&Store>,
-) -> Result<CampaignResult, String> {
-    let Some(store) = store else {
-        return Err(
-            "--incremental needs IPAS_STORE_DIR (section profiles live in the store)".to_string(),
-        );
-    };
-    let baseline = match args.flags.get("baseline") {
-        None => None,
-        Some(v) => Some(Key::parse(v).map_err(|e| format!("bad --baseline: {e}"))?),
-    };
-    eprintln!(
-        "[ipas] campaign: {} {} injections, incremental ...",
-        config.runs, config.fault_model
-    );
-    let outcome = run_campaign_incremental(store, workload, config, options, baseline.as_ref())
-        .map_err(|e| format!("campaign failed: {e}"))?;
-    eprintln!(
-        "[ipas] incremental: sections reused {} of {}",
-        outcome.sections_reused, outcome.sections_total
-    );
-    eprintln!(
-        "[ipas] incremental: injections executed {} of {}",
-        outcome.injections_executed, outcome.injections_total
-    );
-    eprintln!(
-        "[ipas] incremental: baseline {} (pass via --baseline next run)",
-        outcome.index_key.as_str()
-    );
-    Ok(outcome.result)
 }
 
 fn fuzz_command(args: &Args) -> ExitCode {
@@ -965,7 +937,6 @@ fn client_command(args: &Args) -> ExitCode {
                 Err(code) => return code,
             };
             spec.module_key = args.flags.get("module-key").cloned();
-            spec.sections = args.flags.contains_key("sections");
             spec.adaptive = args.flags.contains_key("adaptive");
             if let Err(e) = spec.validate() {
                 eprintln!("ipas: invalid job: {e}");
@@ -1045,7 +1016,13 @@ fn client_command(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = match Args::parse() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("ipas: {e}");
+            return usage();
+        }
+    };
     let Some(cmd) = args.positional.first() else {
         return usage();
     };

@@ -133,6 +133,29 @@ fn unknown_policy_fails() {
 }
 
 #[test]
+fn unknown_flags_and_unparseable_values_fail_by_name() {
+    let path = write_temp("flags.scil", KERNEL);
+    let store = fresh_dir("flags-store");
+    for (args, flag) in [
+        (&["--incremental"][..], "`--incremental`"),
+        (&["--run", "50"][..], "`--run`"),
+        (&["--runs", "abc"][..], "`--runs`"),
+    ] {
+        let out = ipas()
+            .arg("campaign")
+            .arg(&path)
+            .args(args)
+            .env("IPAS_STORE_DIR", &store)
+            .output()
+            .expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} ran: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} names no {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a breakdown");
+    }
+}
+
+#[test]
 fn explain_lists_duplicable_instructions_with_decisions() {
     let path = write_temp("explain.scil", KERNEL);
     let out = ipas()
