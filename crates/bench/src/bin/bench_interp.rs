@@ -7,11 +7,15 @@
 //!   same campaign at the kernel's base input on the tree-walking
 //!   reference engine and on the compiled engine, which must produce
 //!   the same records;
-//! * `<kernel> <input> ladder`: the compiled engine at ladder input 3
-//!   (the inputs of `bench_e2e`'s `campaign_ladder` workload), with
-//!   enough runs to simulate 750,000 golden-run instructions per
-//!   base-input run (1.5·10⁸ at the default size, as `campaign_ladder`
-//!   does).
+//! * `<kernel> <input> ladder cold` and `<kernel> <input> ladder
+//!   reused`: the compiled engine at ladder input 3 (the inputs of
+//!   `bench_e2e`'s `campaign_ladder` workload), with enough runs to
+//!   simulate 750,000 golden-run instructions per base-input run
+//!   (1.5·10⁸ at the default size, as `campaign_ladder` does). The
+//!   cold row rebuilds its workload (untimed) before every repetition,
+//!   so each campaign captures its own ladder; the reused row runs two
+//!   untimed campaigns on its workload first, so every timed one
+//!   reuses the ladder the workload keeps.
 //!
 //! Per row it reports the runs, the nominal instructions, a SHA-256
 //! digest of the campaign's journal record lines, the median and
@@ -73,6 +77,9 @@ struct Row {
     workload: Workload,
     engine: Engine,
     runs: usize,
+    /// The kernel and input of a cold ladder row, whose workload is
+    /// rebuilt before every repetition.
+    cold: Option<(Kind, i64)>,
 }
 
 /// What one campaign produced, the time aside: the same on every
@@ -116,19 +123,34 @@ fn rows(base_runs: usize) -> Vec<Row> {
                 workload: kind.build(input).expect("workload builds"),
                 engine,
                 runs: base_runs,
+                cold: None,
             });
         }
     }
     for kind in Kind::ALL {
         let input = kind.input_ladder()[2];
-        let workload = kind.build(input).expect("workload builds");
-        let budget = base_runs as u64 * LADDER_INSTS_PER_RUN;
-        rows.push(Row {
-            name: format!("{} {input} ladder", kind.name()),
-            runs: (budget.div_ceil(workload.nominal_insts.max(1)) as usize).max(8),
-            workload,
-            engine: Engine::Compiled,
-        });
+        for cold in [true, false] {
+            let workload = kind.build(input).expect("workload builds");
+            let budget = base_runs as u64 * LADDER_INSTS_PER_RUN;
+            let row = Row {
+                name: format!(
+                    "{} {input} ladder {}",
+                    kind.name(),
+                    if cold { "cold" } else { "reused" }
+                ),
+                runs: (budget.div_ceil(workload.nominal_insts.max(1)) as usize).max(8),
+                workload,
+                engine: Engine::Compiled,
+                cold: cold.then_some((kind, input)),
+            };
+            if !cold {
+                // The second campaign's engine is the one the workload
+                // keeps for the timed ones.
+                campaign(&row);
+                campaign(&row);
+            }
+            rows.push(row);
+        }
     }
     rows
 }
@@ -164,7 +186,7 @@ fn header(json: &mut String, base_runs: usize, reps: &str) {
 }
 
 /// The report body: per kernel the base-input rows (`workloads`, with
-/// the speedup), then the ladder rows. `rows` holds, per measured row
+/// the speedup), then the cold and reused ladder rows (`ladder`). `rows` holds, per measured row
 /// in [`rows`] order, its identity fields and its timed object as JSON;
 /// `medians` the times the speedup divides.
 fn body(json: &mut String, rows: &[(String, String)], medians: &[f64]) {
@@ -188,12 +210,14 @@ fn body(json: &mut String, rows: &[(String, String)], medians: &[f64]) {
     let geomean = (log_speedup / kernels as f64).exp();
     let _ = writeln!(json, "  \"geomean_speedup\": {geomean:.3},");
     json.push_str("  \"ladder\": [\n");
-    for (k, row) in rows[2 * kernels..].iter().enumerate() {
+    for k in 0..kernels {
+        let (cold, reused) = (&rows[2 * kernels + 2 * k], &rows[2 * kernels + 2 * k + 1]);
         let _ = writeln!(
             json,
-            "    {{{}, \"compiled\": {}}}{}",
-            row.0,
-            row.1,
+            "    {{{}, \"cold\": {}, \"reused\": {}}}{}",
+            cold.0,
+            cold.1,
+            reused.1,
             if k + 1 < kernels { "," } else { "" },
         );
     }
@@ -225,12 +249,15 @@ fn quartiles_json([m, q1, q3]: [f64; 3]) -> String {
 
 /// Measures this build: `reps` repetitions of every row.
 fn measure(out_path: &str, base_runs: usize, reps: usize) {
-    let rows = rows(base_runs);
+    let mut rows = rows(base_runs);
     let mut times: Vec<Vec<f64>> = vec![Vec::new(); rows.len()];
     let mut shapes: Vec<Option<Shape>> = vec![None; rows.len()];
     for rep in 0..reps {
         eprintln!("[bench_interp] repetition {} of {reps}", rep + 1);
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in rows.iter_mut().enumerate() {
+            if let Some((kind, input)) = row.cold {
+                row.workload = kind.build(input).expect("workload builds");
+            }
             let (result, seconds) = campaign(row);
             times[i].push(seconds);
             let shape = Shape::of(&result, row.runs);
@@ -299,7 +326,7 @@ fn compare(baseline: &str, out_path: &str, base_runs: usize, pairs: usize) {
     let mut report = Vec::new();
     let mut medians = Vec::new();
     println!(
-        "{:<18} {:>22} {:>22} {:>7}  ladder counts (baseline -> candidate)",
+        "{:<24} {:>22} {:>22} {:>7}  ladder counts (baseline -> candidate)",
         "row", "baseline s", "candidate s", "ratio"
     );
     for row in &rows {
@@ -327,7 +354,7 @@ fn compare(baseline: &str, out_path: &str, base_runs: usize, pairs: usize) {
         ));
         let q = |[m, q1, q3]: [f64; 3]| format!("{m:.3} [{q1:.3}, {q3:.3}]");
         println!(
-            "{:<18} {:>22} {:>22} {ratio:>6.2}x  snapshots {} -> {}, bytes {} -> {}, \
+            "{:<24} {:>22} {:>22} {ratio:>6.2}x  snapshots {} -> {}, bytes {} -> {}, \
              executed {} -> {}, identical {}",
             cand[0],
             q(row.stats[0]),

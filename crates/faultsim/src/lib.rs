@@ -60,7 +60,8 @@
 //!
 //! [`CampaignConfig::engine`] selects the interpreter:
 //! [`Engine::Compiled`] (default) lowers the module once per campaign
-//! and runs it on pre-decoded machines reused per worker thread;
+//! (once per workload from its second ladder campaign on) and runs it
+//! on pre-decoded machines reused per worker thread;
 //! [`Engine::Reference`] tree-walks the IR directly. The two are
 //! bit-identical — same seed, same records, byte for byte — so the knob
 //! only trades throughput, never results (see `docs/interpreter.md`).
@@ -68,7 +69,9 @@
 //! golden-state checkpoint [`Ladder`]: each run starts at the latest
 //! golden checkpoint before its target and stops once its state
 //! reconverges with golden, with records unchanged
-//! ([`CampaignResult::checkpoints`] reports what it saved).
+//! ([`CampaignResult::checkpoints`] reports what it saved). From its
+//! second ladder campaign on, a [`Workload`] keeps its compiled engine,
+//! so later campaigns skip the capture run.
 
 #![warn(missing_docs)]
 
@@ -79,13 +82,14 @@ pub mod runtime;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ipas_interp::{
     Machine, OutputStream, RtVal, RunConfig, RunError, RunOutput, RunStatus, Skipped,
     MAX_CHECKPOINTS,
 };
-use ipas_ir::{FuncId, InstId, Module};
+use ipas_ir::{sha256, FuncId, InstId, Module, Type};
 use rand::{Rng, SeedableRng};
 
 pub use ipas_interp::{
@@ -273,6 +277,44 @@ pub struct Workload {
     pub cond_branches: u64,
     /// Golden outputs of the clean run.
     pub golden: OutputStream,
+    /// The compiled engine kept for later campaigns (see
+    /// [`CompiledCampaign::prepare`]).
+    kept: Mutex<KeptEngine>,
+}
+
+/// A workload's ladder requests so far and, from the second on, the
+/// compiled engine the latest one built, with the inputs it was built
+/// from.
+#[derive(Default)]
+struct KeptEngine {
+    requests: u64,
+    engine: Option<(EngineInputs, Arc<CompiledCampaign>)>,
+}
+
+/// What a compiled engine and its ladder depend on, besides the
+/// engine's code: the module, the entry call, and the nominal length
+/// (which sets the snapshot spacing and the run budget). The public
+/// fields of a [`Workload`] can be reassigned between campaigns, so a
+/// kept engine serves a campaign only when these still match.
+#[derive(PartialEq)]
+struct EngineInputs {
+    /// SHA-256 of the module's printed text.
+    module: [u8; 32],
+    entry: String,
+    /// Each argument's type and bits.
+    args: Vec<(Type, u64)>,
+    nominal_insts: u64,
+}
+
+impl EngineInputs {
+    fn of(workload: &Workload) -> Self {
+        EngineInputs {
+            module: sha256::sha256(workload.module.text().as_bytes()),
+            entry: workload.entry.clone(),
+            args: workload.args.iter().map(|a| (a.ty(), a.bits())).collect(),
+            nominal_insts: workload.nominal_insts,
+        }
+    }
 }
 
 impl fmt::Debug for Workload {
@@ -344,6 +386,7 @@ impl Workload {
             stores: golden.stores,
             cond_branches: golden.cond_branches,
             golden: golden.outputs,
+            kept: Mutex::default(),
         })
     }
 
@@ -396,6 +439,7 @@ impl Workload {
             stores: golden.stores,
             cond_branches: golden.cond_branches,
             golden: golden.outputs,
+            kept: Mutex::default(),
         })
     }
 }
@@ -1007,10 +1051,10 @@ impl Runner<'_> {
     }
 }
 
-/// A campaign's compiled engine: the one [`CompiledProgram`] lowering
+/// A workload's compiled engine: the one [`CompiledProgram`] lowering
 /// of the workload plus, when plans can use it, the golden-state
-/// [`Ladder`] captured from one clean run. Built once per campaign and
-/// shared read-only by every worker and chunk.
+/// [`Ladder`] captured from one clean run. Built once per workload and
+/// shared read-only by every worker and chunk of its campaigns.
 ///
 /// The ladder is skipped when no pending plan could use it: on
 /// wall-clock-guarded campaigns (the watchdog measures from run start)
@@ -1026,42 +1070,72 @@ impl CompiledCampaign {
     /// Lowers `workload` for `engine` (`None` on the reference engine)
     /// and captures its ladder when one of the `pending` plans can
     /// start from it.
+    ///
+    /// A campaign that wants a ladder is one of the workload's ladder
+    /// requests. The first keeps nothing, so a workload that runs one
+    /// campaign (a protected variant, a daemon job) holds no ladder
+    /// after it. From the second on, the workload keeps the engine it
+    /// builds and later requests share it, until the workload's module
+    /// text, entry, arguments or nominal length no longer match what it
+    /// was built from: the next request then builds a new one in its
+    /// place.
     pub fn prepare(
         workload: &Workload,
         engine: Engine,
         options: &CampaignOptions,
         pending: impl IntoIterator<Item = Injection>,
-    ) -> Option<CompiledCampaign> {
+    ) -> Option<Arc<CompiledCampaign>> {
         if engine == Engine::Reference {
             return None;
         }
-        let program = CompiledProgram::compile(&workload.module);
-        let ladder = if options.run_deadline.is_none()
-            && pending.into_iter().any(|plan| plan.site.is_none())
-        {
-            let spacing = workload.nominal_insts.div_ceil(MAX_CHECKPOINTS as u64);
-            let budget = RunConfig::budget_from_nominal(workload.nominal_insts);
-            let config = plan_config(workload, budget, None, None);
-            // Capturing on a thread of its own keeps the snapshots out of
-            // the caller's malloc arena: measured on glibc, a ladder built
-            // on the calling thread raised peak RSS by up to twice as much
-            // and erratically from one process to the next.
-            std::thread::scope(|scope| {
-                scope
-                    .spawn(|| {
-                        CompiledMachine::new(&program)
-                            .capture_ladder(&config, spacing)
-                            .ok()
-                            .flatten()
-                    })
-                    .join()
-                    .ok()
-                    .flatten()
-            })
-        } else {
-            None
+        if options.run_deadline.is_some() || pending.into_iter().all(|plan| plan.site.is_some()) {
+            return Some(Arc::new(CompiledCampaign {
+                program: CompiledProgram::compile(&workload.module),
+                ladder: None,
+            }));
+        }
+        let inputs = {
+            let mut kept = lock(&workload.kept);
+            kept.requests += 1;
+            let inputs = (kept.requests > 1).then(|| EngineInputs::of(workload));
+            if let (Some(inputs), Some((built_from, engine))) = (&inputs, &kept.engine) {
+                if inputs == built_from {
+                    return Some(Arc::clone(engine));
+                }
+            }
+            kept.engine = None;
+            inputs
         };
-        Some(CompiledCampaign { program, ladder })
+        let compiled = Arc::new(CompiledCampaign::capture(workload));
+        if let Some(inputs) = inputs {
+            lock(&workload.kept).engine = Some((inputs, Arc::clone(&compiled)));
+        }
+        Some(compiled)
+    }
+
+    /// Lowers `workload` and captures its ladder.
+    fn capture(workload: &Workload) -> CompiledCampaign {
+        let program = CompiledProgram::compile(&workload.module);
+        let spacing = workload.nominal_insts.div_ceil(MAX_CHECKPOINTS as u64);
+        let budget = RunConfig::budget_from_nominal(workload.nominal_insts);
+        let config = plan_config(workload, budget, None, None);
+        // Capturing on a thread of its own keeps the snapshots out of
+        // the caller's malloc arena: measured on glibc, a ladder built
+        // on the calling thread raised peak RSS by up to twice as much
+        // and erratically from one process to the next.
+        let ladder = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    CompiledMachine::new(&program)
+                        .capture_ladder(&config, spacing)
+                        .ok()
+                        .flatten()
+                })
+                .join()
+                .ok()
+                .flatten()
+        });
+        CompiledCampaign { program, ladder }
     }
 
     /// The golden-state ladder, when one was captured.
@@ -1159,6 +1233,14 @@ fn classify_plan(
     })
 }
 
+/// Locks a mutex, recovering the data from a poisoned lock. Every holder
+/// in this crate leaves the data valid at each step (whole slots are
+/// filled, whole counters added, whole engines kept), so a panic
+/// mid-section cannot tear it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
@@ -1236,5 +1318,67 @@ pub fn classify(run: &RunOutput, verifier: &dyn OutputVerifier) -> Outcome {
                 Outcome::Soc
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn kept(w: &Workload) -> Option<Arc<CompiledCampaign>> {
+        lock(&w.kept).engine.as_ref().map(|(_, e)| Arc::clone(e))
+    }
+
+    #[test]
+    fn a_workload_keeps_its_engine_from_the_second_ladder_request() {
+        let module = ipas_lang::compile(
+            "fn main() -> int { let s: int = mpi_rank();
+               for (let i: int = 0; i < 400; i = i + 1) { s = s + i * i; }
+               output_i(s); return 0; }",
+        )
+        .unwrap();
+        let mut w = Workload::serial("sum", module, GoldenToleranceVerifier::EXACT).unwrap();
+        let plain = CampaignOptions::default();
+        let request = |w: &Workload, options: &CampaignOptions, plan: Injection| {
+            CompiledCampaign::prepare(w, Engine::Compiled, options, [plan])
+                .expect("compiled engine")
+        };
+        let plan = Injection::at_global_index(0, 0);
+
+        // Neither the reference engine nor a campaign without a ladder
+        // counts as a request.
+        assert!(CompiledCampaign::prepare(&w, Engine::Reference, &plain, [plan]).is_none());
+        let guarded = CampaignOptions {
+            run_deadline: Some(Duration::from_secs(60)),
+            ..CampaignOptions::default()
+        };
+        assert!(request(&w, &guarded, plan).ladder().is_none());
+        let site = Injection::at_site((FuncId::new(0), InstId::new(0)), 0, 0);
+        assert!(request(&w, &plain, site).ladder().is_none());
+        assert_eq!(lock(&w.kept).requests, 0);
+
+        let first = request(&w, &plain, plan);
+        assert!(first.ladder().is_some());
+        assert!(kept(&w).is_none(), "one request keeps nothing");
+        let second = request(&w, &plain, plan);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&kept(&w).expect("kept"), &second));
+        let third = request(&w, &plain, plan);
+        assert!(
+            Arc::ptr_eq(&second, &third),
+            "the third shares the kept engine"
+        );
+        assert!(request(&w, &guarded, plan).ladder().is_none());
+        assert!(Arc::ptr_eq(&kept(&w).expect("kept"), &third));
+
+        // Any input the engine was built from, reassigned, replaces it.
+        w.nominal_insts += 1;
+        let fourth = request(&w, &plain, plan);
+        assert!(!Arc::ptr_eq(&third, &fourth));
+        assert!(Arc::ptr_eq(&kept(&w).expect("kept"), &fourth));
+        assert!(Arc::ptr_eq(&request(&w, &plain, plan), &fourth));
+        w.module =
+            ipas_lang::compile("fn main() -> int { output_i(mpi_rank()); return 0; }").unwrap();
+        assert!(!Arc::ptr_eq(&request(&w, &plain, plan), &fourth));
     }
 }

@@ -12,7 +12,8 @@
 //!   journal-resumed outcomes fill their plans' slots as the plans are
 //!   appended;
 //! * the compiled engine: one [`CompiledCampaign::prepare`] over the
-//!   plans pending when execution starts;
+//!   plans pending when execution starts, which reuses the engine and
+//!   ladder the workload keeps from its earlier campaigns;
 //! * **commit**: one journal write for a batch of outcomes, each record
 //!   tagged with its own plan's tag, then the slot fill;
 //! * **finish**: the splice into a [`CampaignResult`] in plan order.
@@ -38,12 +39,12 @@
 use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::{
-    module_digest, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions, CampaignResult,
-    CheckpointStats, CompiledCampaign, Injection, InjectionRecord, JournalError, JournalHeader,
-    PlanExecutor, PlanOutcome, ResumeState, SamplingMode, Workload,
+    lock, module_digest, CampaignConfig, CampaignError, CampaignJournal, CampaignOptions,
+    CampaignResult, CheckpointStats, CompiledCampaign, Injection, InjectionRecord, JournalError,
+    JournalHeader, PlanExecutor, PlanOutcome, ResumeState, SamplingMode, Workload,
 };
 
 /// One plan-stream campaign (see the module docs). `W` is the workload,
@@ -58,7 +59,7 @@ pub struct CampaignRuntime<W> {
     rounds: bool,
     journal: Option<CampaignJournal>,
     stream: Mutex<Stream>,
-    compiled: OnceLock<Option<CompiledCampaign>>,
+    compiled: OnceLock<Option<Arc<CompiledCampaign>>>,
     /// Instructions the executed plans skipped through the ladder.
     skipped: Mutex<CheckpointStats>,
 }
@@ -213,9 +214,10 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
             .collect()
     }
 
-    /// The campaign's compiled engine, built on the first call from the
-    /// plans pending then (see [`CompiledCampaign::prepare`]); `None` on
-    /// the reference engine.
+    /// The campaign's compiled engine, prepared on the first call from
+    /// the plans pending then (see [`CompiledCampaign::prepare`]: the
+    /// workload's kept engine when it has one); `None` on the reference
+    /// engine.
     pub fn prepare(&self) -> Option<&CompiledCampaign> {
         self.compiled
             .get_or_init(|| {
@@ -227,7 +229,7 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
                     pending,
                 )
             })
-            .as_ref()
+            .as_deref()
     }
 
     /// Executes every pending plan on the in-process worker pool
@@ -351,7 +353,7 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
             return Err(CampaignError::Incomplete { missing });
         }
         let mut checkpoints =
-            CompiledCampaign::stats_of(self.compiled.get().and_then(Option::as_ref));
+            CompiledCampaign::stats_of(self.compiled.get().and_then(Option::as_deref));
         checkpoints += *lock(&self.skipped);
         Ok(CampaignResult {
             records,
@@ -361,11 +363,4 @@ impl<W: Borrow<Workload> + Sync> CampaignRuntime<W> {
             checkpoints,
         })
     }
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock. Every holder
-/// in this module leaves the data valid at each step (whole slots are
-/// filled, whole counters added), so a panic mid-section cannot tear it.
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -67,15 +67,27 @@ fn campaign(
     model: FaultModel,
     sampling: SamplingMode,
 ) -> (CampaignResult, Vec<u8>) {
+    seeded_campaign(w, engine, threads, model, sampling, 11)
+}
+
+/// [`campaign`] with the seed given, journaled under a path of its own.
+fn seeded_campaign(
+    w: &Workload,
+    engine: Engine,
+    threads: usize,
+    model: FaultModel,
+    sampling: SamplingMode,
+    seed: u64,
+) -> (CampaignResult, Vec<u8>) {
     let path = scratch_path(&format!(
-        "{}-{engine}-{threads}-{model}-{}",
+        "{}-{engine}-{threads}-{model}-{}-{seed}",
         w.name,
         sampling.wire()
     ));
     let _ = std::fs::remove_file(&path);
     let config = CampaignConfig {
         runs: 8,
-        seed: 11,
+        seed,
         threads,
         engine,
         fault_model: model,
@@ -159,6 +171,101 @@ fn paper_workloads_match_reference_for_every_model_thread_count_and_sampling() {
         "no run started from a checkpoint"
     );
     assert!(total.reconverged_runs > 0, "no run ever reconverged");
+}
+
+/// A workload keeps its compiled engine from its second ladder campaign
+/// on. Three campaigns with different seeds on one workload (the first
+/// two capture a ladder, the third reuses the second's) equal the same
+/// campaigns on fresh workloads: records, journal bytes and checkpoint
+/// counts, at threads {1, 4}.
+#[test]
+fn repeated_campaigns_on_one_workload_match_fresh_workloads() {
+    for (kind, input) in [(Kind::Hpccg, 3), (Kind::Is, 64)] {
+        for threads in [1usize, 4] {
+            let kept = kind.build(input).expect("workload builds");
+            for seed in [21, 22, 23] {
+                let label = format!("{} threads {threads} seed {seed}", kept.name);
+                let run = |w: &Workload| {
+                    seeded_campaign(
+                        w,
+                        Engine::Compiled,
+                        threads,
+                        FaultModel::SingleBit,
+                        SamplingMode::DynamicUniform,
+                        seed,
+                    )
+                };
+                let (reused, journal) = run(&kept);
+                let (fresh, fresh_journal) = run(&kind.build(input).expect("workload builds"));
+                assert_eq!(reused.records, fresh.records, "{label}");
+                assert_eq!(reused.checkpoints, fresh.checkpoints, "{label}");
+                assert!(reused.checkpoints.snapshots > 0, "{label}: no ladder");
+                if threads == 1 {
+                    assert!(journal == fresh_journal, "{label}: journal bytes differ");
+                } else {
+                    assert_eq!(
+                        sorted_lines(&journal),
+                        sorted_lines(&fresh_journal),
+                        "{label}: journal lines differ"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A loop sum scaled by `k`, output at a coarse grain so that small
+/// corruptions are masked: programs that differ in `k` alone run the
+/// same instructions on the same entry call.
+fn scaled_sum(k: i64) -> Workload {
+    let src = format!(
+        "fn main() -> int {{ let s: int = mpi_rank();
+           for (let i: int = 0; i < 300; i = i + 1) {{ s = s + (i + s % 7) * {k}; }}
+           output_i(s / 4096); return 0; }}"
+    );
+    let module = ipas_lang::compile(&src).expect("compiles");
+    Workload::serial("scaled", module, GoldenToleranceVerifier::EXACT).expect("golden run")
+}
+
+/// A kept engine serves only the module, entry, arguments and nominal
+/// length it was built from. A workload that keeps one, then has its
+/// public fields reassigned to another program's, runs that program's
+/// own campaign, record for record. The two programs differ in one
+/// constant, so only the module's digest tells them apart.
+#[test]
+fn a_workload_reassigned_to_another_program_runs_that_program() {
+    let mut w = scaled_sum(3);
+    let config = |seed| CampaignConfig {
+        runs: 64,
+        seed,
+        threads: 2,
+        ..CampaignConfig::default()
+    };
+    let run = |w: &Workload, seed| {
+        run_campaign_with(w, &config(seed), &CampaignOptions::default()).expect("completes")
+    };
+    for seed in [31, 32] {
+        run(&w, seed);
+    }
+    let expected = run(&scaled_sum(4), 33);
+    // Runs of the wrong program would turn these into SOC.
+    assert!(expected.count(Outcome::Masked) > 0);
+    let other = scaled_sum(4);
+    assert_eq!(
+        (&other.entry, &other.args, other.nominal_insts),
+        (&w.entry, &w.args, w.nominal_insts)
+    );
+    assert_ne!(other.golden, w.golden);
+    w.module = other.module;
+    w.verifier = other.verifier;
+    w.eligible_results = other.eligible_results;
+    w.loads = other.loads;
+    w.stores = other.stores;
+    w.cond_branches = other.cond_branches;
+    w.golden = other.golden;
+    let got = run(&w, 33);
+    assert_eq!(got.records, expected.records);
+    assert_eq!(got.checkpoints, expected.checkpoints);
 }
 
 /// A countdown whose corrupted counter spins into the budget (hangs),

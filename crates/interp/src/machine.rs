@@ -354,11 +354,21 @@ impl RunStatus {
 }
 
 /// The verified output stream produced by `output_i64`/`output_f64`.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Each item is stored as its 64 bits plus one bit of a float mask,
+/// 8⅛ bytes an item where a tagged enum takes 16: a run stuck in an
+/// output loop emits hundreds of thousands of items.
+#[derive(Clone, Default)]
 pub struct OutputStream {
-    items: Vec<OutItem>,
+    /// Item bits: the `i64`, or the `f64`'s [`f64::to_bits`].
+    bits: Vec<u64>,
+    /// Bit `k % 64` of word `k / 64` is set when item `k` is a float.
+    /// Bits at or past `len` are zero, so equal streams have equal
+    /// masks.
+    floats: Vec<u64>,
 }
 
+/// One item, typed: what `==` and `Debug` compare and print.
 #[derive(Copy, Clone, Debug, PartialEq)]
 enum OutItem {
     I(i64),
@@ -368,20 +378,33 @@ enum OutItem {
 impl OutputStream {
     /// Number of emitted items.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.bits.len()
     }
 
     /// Returns `true` when nothing was emitted.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.bits.is_empty()
+    }
+
+    fn is_float(&self, k: usize) -> bool {
+        self.floats[k / 64] >> (k % 64) & 1 == 1
+    }
+
+    fn items(&self) -> impl Iterator<Item = OutItem> + '_ {
+        self.bits.iter().enumerate().map(|(k, &b)| {
+            if self.is_float(k) {
+                OutItem::F(f64::from_bits(b))
+            } else {
+                OutItem::I(b as i64)
+            }
+        })
     }
 
     /// All integer items, in emission order (floats are skipped).
     pub fn as_ints(&self) -> Vec<i64> {
-        self.items
-            .iter()
+        self.items()
             .filter_map(|i| match i {
-                OutItem::I(v) => Some(*v),
+                OutItem::I(v) => Some(v),
                 OutItem::F(_) => None,
             })
             .collect()
@@ -389,10 +412,9 @@ impl OutputStream {
 
     /// All float items, in emission order (integers are skipped).
     pub fn as_floats(&self) -> Vec<f64> {
-        self.items
-            .iter()
+        self.items()
             .filter_map(|i| match i {
-                OutItem::F(v) => Some(*v),
+                OutItem::F(v) => Some(v),
                 OutItem::I(_) => None,
             })
             .collect()
@@ -402,30 +424,67 @@ impl OutputStream {
     /// unlike `==`, tells `-0.0` from `0.0` and matches identical NaN
     /// payloads only.
     pub(crate) fn same_bits(&self, golden: &OutputStream, len: usize) -> bool {
-        self.items.len() == len
-            && self
-                .items
-                .iter()
-                .zip(&golden.items[..len])
-                .all(|(a, b)| match (a, b) {
-                    (OutItem::I(x), OutItem::I(y)) => x == y,
-                    (OutItem::F(x), OutItem::F(y)) => x.to_bits() == y.to_bits(),
-                    _ => false,
-                })
+        let (whole, part) = (len / 64, len % 64);
+        self.bits.len() == len
+            && self.bits[..] == golden.bits[..len]
+            && self.floats[..whole] == golden.floats[..whole]
+            && (part == 0 || self.floats[whole] == golden.floats[whole] & low_bits(part))
     }
 
     /// Replaces the contents with the first `len` items of `golden`.
     pub(crate) fn restore_prefix(&mut self, golden: &OutputStream, len: usize) {
-        self.items.clear();
-        self.items.extend_from_slice(&golden.items[..len]);
+        let (whole, part) = (len / 64, len % 64);
+        self.bits.clear();
+        self.bits.extend_from_slice(&golden.bits[..len]);
+        self.floats.clear();
+        self.floats.extend_from_slice(&golden.floats[..whole]);
+        if part != 0 {
+            self.floats.push(golden.floats[whole] & low_bits(part));
+        }
+    }
+
+    fn push(&mut self, bits: u64, float: bool) {
+        let k = self.bits.len();
+        if k.is_multiple_of(64) {
+            self.floats.push(0);
+        }
+        self.floats[k / 64] |= u64::from(float) << (k % 64);
+        self.bits.push(bits);
     }
 
     fn push_i(&mut self, v: i64) {
-        self.items.push(OutItem::I(v));
+        self.push(v as u64, false);
     }
 
     fn push_f(&mut self, v: f64) {
-        self.items.push(OutItem::F(v));
+        self.push(v.to_bits(), true);
+    }
+}
+
+/// The `n` (1..64) lowest bits set.
+fn low_bits(n: usize) -> u64 {
+    (1 << n) - 1
+}
+
+/// Item by item as `i64` or `f64`: `0.0 == -0.0`, a NaN equals
+/// nothing, and an int never equals a float.
+impl PartialEq for OutputStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.items().eq(other.items())
+    }
+}
+
+impl fmt::Debug for OutputStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Items<'a>(&'a OutputStream);
+        impl fmt::Debug for Items<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.items()).finish()
+            }
+        }
+        f.debug_struct("OutputStream")
+            .field("items", &Items(self))
+            .finish()
     }
 }
 
@@ -1999,5 +2058,67 @@ bb0:
         let mut m = Machine::new(&module);
         let out = m.run(&RunConfig::default()).unwrap();
         assert_eq!(out.status, RunStatus::Completed(Some(RtVal::F64(2.5))));
+    }
+
+    fn stream(items: &[OutItem]) -> OutputStream {
+        let mut s = OutputStream::default();
+        for item in items {
+            match *item {
+                OutItem::I(v) => s.push_i(v),
+                OutItem::F(v) => s.push_f(v),
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn output_equality_compares_values_and_same_bits_compares_bits() {
+        let zero = stream(&[OutItem::F(0.0)]);
+        let negative_zero = stream(&[OutItem::F(-0.0)]);
+        assert_eq!(zero, negative_zero);
+        assert!(!zero.same_bits(&negative_zero, 1));
+        assert!(zero.same_bits(&zero, 1));
+
+        let nan = stream(&[OutItem::F(f64::NAN)]);
+        assert_ne!(nan, nan.clone());
+        assert!(nan.same_bits(&nan, 1));
+
+        // The same 64 bits once as an int and once as a float.
+        let bits = 1.5f64.to_bits();
+        let int = stream(&[OutItem::I(bits as i64)]);
+        let float = stream(&[OutItem::F(1.5)]);
+        assert_ne!(int, float);
+        assert!(!int.same_bits(&float, 1));
+        assert_eq!(int.as_ints(), vec![bits as i64]);
+        assert_eq!(float.as_floats(), vec![1.5]);
+        assert_eq!(
+            format!("{:?}", stream(&[OutItem::I(3), OutItem::F(0.5)])),
+            "OutputStream { items: [I(3), F(0.5)] }"
+        );
+    }
+
+    #[test]
+    fn restored_output_prefixes_match_at_every_length() {
+        // Floats at every third index, so each mask word mixes kinds.
+        let items: Vec<OutItem> = (0..150)
+            .map(|k| match k % 3 {
+                0 => OutItem::F(k as f64 * 0.25),
+                _ => OutItem::I(k - 75),
+            })
+            .collect();
+        let golden = stream(&items);
+        let mut restored = stream(&[OutItem::F(9.0); 130]);
+        for len in [0, 1, 63, 64, 65, 100, 128, 129, 150] {
+            restored.restore_prefix(&golden, len);
+            let expected = stream(&items[..len]);
+            assert_eq!(restored, expected, "length {len}");
+            assert!(restored.same_bits(&golden, len), "length {len}");
+            assert_eq!(restored.floats, expected.floats, "length {len}");
+            // A restored stream keeps appending where the prefix ends.
+            restored.push_i(7);
+            let mut longer = items[..len].to_vec();
+            longer.push(OutItem::I(7));
+            assert_eq!(restored, stream(&longer), "length {len}");
+        }
     }
 }

@@ -584,6 +584,12 @@ impl Daemon {
         match spec.kind {
             JobKind::Campaign | JobKind::Eval => {
                 let summary = campaign_summary(&workload.name, config, result);
+                // The summary key does not tell an adaptive campaign from
+                // a plain one with the same budget, so, as on the CLI,
+                // adaptive summaries are not memoized.
+                if spec.adaptive {
+                    return Ok(render_summary(&summary));
+                }
                 let key = summary_key(workload, config);
                 let (summary, _) = store
                     .memoize_shared(&self.flight, &key, || Ok::<_, String>(summary))

@@ -390,31 +390,39 @@ fn payload(client: &Client, spec: &JobSpec) -> String {
 #[test]
 fn campaign_summaries_are_keyed_on_the_run_identity() {
     let dir = test_dir("identity");
-    let job = |tolerance: f64| {
+    let job = |tolerance: f64, adaptive: bool| {
         let mut spec = JobSpec::new(JobKind::Campaign, "acme", "kernel", FLOAT_SOURCE);
         spec.runs = 64;
         spec.seed = 5;
         spec.tolerance = tolerance;
+        spec.adaptive = adaptive;
         spec
     };
-    let (shared, fresh) = (dir.join("shared"), dir.join("fresh"));
-    for d in [&shared, &fresh] {
-        std::fs::create_dir_all(d).unwrap();
+    let run = |name: &str, jobs: &[JobSpec]| {
+        let d = dir.join(name);
+        std::fs::create_dir_all(&d).unwrap();
+        let (daemon, client) = start_daemon(config(&d, 2, 8));
+        let payloads: Vec<String> = jobs.iter().map(|spec| payload(&client, spec)).collect();
+        client.shutdown().unwrap();
+        daemon.join().unwrap();
+        payloads
+    };
+    // Each case runs a second job against a store that already holds
+    // the first one's summary: the same campaign under another
+    // verifier, and a plain campaign after an adaptive one with the same
+    // budget. The second must equal the same job on a fresh daemon.
+    for (case, first, second) in [
+        ("verifier", job(1e-9, false), job(1e30, false)),
+        ("adaptive", job(1e-9, true), job(1e-9, false)),
+    ] {
+        let shared = run(&format!("{case}-shared"), &[first, second.clone()]);
+        let expected = run(&format!("{case}-fresh"), &[second]);
+        assert_ne!(
+            shared[0], expected[0],
+            "{case}: the two jobs report differently"
+        );
+        assert_eq!(shared[1], expected[0], "{case}");
     }
-    let (daemon, client) = start_daemon(config(&shared, 2, 8));
-    let strict = payload(&client, &job(1e-9));
-    // The same campaign under another verifier, against a store that
-    // already holds the strict summary.
-    let loose = payload(&client, &job(1e30));
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
-
-    let (daemon, client) = start_daemon(config(&fresh, 2, 8));
-    let expected = payload(&client, &job(1e30));
-    client.shutdown().unwrap();
-    daemon.join().unwrap();
-    assert_ne!(strict, expected, "the two verifiers classify differently");
-    assert_eq!(loose, expected);
 }
 
 #[test]

@@ -49,9 +49,9 @@
 //! knob only trades throughput, and exists so any discrepancy can be
 //! cross-checked against the reference semantics.
 //!
-//! A flag that no subcommand reads, or a flag value that does not
-//! parse, is an error that names the flag; nothing runs with a default
-//! in its place.
+//! A flag that the subcommand does not read, or a flag value that does
+//! not parse, is an error that names the flag; nothing runs with a
+//! default in its place.
 //!
 //! `--policy` selects `ipas` (default), `full`, or `baseline`.
 //! The program's verified output stream is whatever it emits through
@@ -91,42 +91,97 @@ use ipas::store::{
 };
 use ipas::svm::GridOptions;
 
-/// Every flag the binary reads; [`Args::parse`] refuses any other.
-const FLAGS: &[&str] = &[
-    "adaptive",
-    "bit",
-    "chunk",
-    "deadline-ms",
-    "engine",
-    "entropy-tol",
-    "eval",
-    "fault-model",
-    "journal",
-    "kind",
-    "model",
-    "module-key",
-    "name",
-    "oracle",
-    "out",
-    "passes",
-    "patience",
-    "policy",
-    "quota-runs",
-    "round-runs",
-    "runs",
-    "save-model",
-    "seed",
-    "shards",
-    "socket",
-    "state",
-    "stats",
-    "target",
-    "tenant",
-    "threads",
-    "tolerance",
-    "top",
-    "verify-each",
-    "watch",
+/// The flags each subcommand reads; [`Args::parse`] refuses any other.
+const FLAGS: &[(&str, &[&str])] = &[
+    (
+        "campaign",
+        &[
+            "adaptive",
+            "engine",
+            "entropy-tol",
+            "fault-model",
+            "journal",
+            "patience",
+            "round-runs",
+            "runs",
+            "seed",
+            "tolerance",
+        ],
+    ),
+    (
+        "client",
+        &[
+            "adaptive",
+            "deadline-ms",
+            "engine",
+            "eval",
+            "fault-model",
+            "kind",
+            "module-key",
+            "name",
+            "policy",
+            "runs",
+            "seed",
+            "socket",
+            "tenant",
+            "tolerance",
+            "top",
+            "watch",
+        ],
+    ),
+    (
+        "explain",
+        &["engine", "fault-model", "runs", "seed", "tolerance"],
+    ),
+    ("fuzz", &["fault-model", "oracle", "runs", "seed"]),
+    ("inject", &["bit", "engine", "target"]),
+    ("ir", &["passes", "stats", "verify-each"]),
+    ("models", &[]),
+    ("passes", &["passes"]),
+    (
+        "protect",
+        &[
+            "engine",
+            "eval",
+            "fault-model",
+            "model",
+            "out",
+            "policy",
+            "runs",
+            "seed",
+            "tolerance",
+            "top",
+        ],
+    ),
+    ("run", &["engine"]),
+    (
+        "serve",
+        &[
+            "chunk",
+            "quota-runs",
+            "shards",
+            "socket",
+            "state",
+            "threads",
+        ],
+    ),
+    (
+        "train",
+        &[
+            "adaptive",
+            "engine",
+            "entropy-tol",
+            "fault-model",
+            "patience",
+            "policy",
+            "round-runs",
+            "runs",
+            "save-model",
+            "seed",
+            "tolerance",
+            "top",
+        ],
+    ),
 ];
 
 struct Args {
@@ -140,28 +195,45 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// A message naming the first flag not in [`FLAGS`].
+    /// A message naming the first flag that no subcommand reads, or
+    /// that the subcommand given (see [`FLAGS`]) does not read.
     fn parse() -> Result<Self, String> {
         let mut positional = Vec::new();
-        let mut flags = std::collections::HashMap::new();
+        let mut pairs = Vec::new();
         let mut it = std::env::args().skip(1).peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if !FLAGS.contains(&name) {
-                    return Err(format!("unknown flag `--{name}`"));
-                }
                 // Valueless flags (--stats, --verify-each) must not
                 // swallow a following flag as their value.
                 let value = match it.peek() {
                     Some(next) if !next.starts_with("--") => it.next().unwrap_or_default(),
                     _ => String::new(),
                 };
-                flags.insert(name.to_string(), value);
+                pairs.push((name.to_string(), value));
             } else {
                 positional.push(a);
             }
         }
-        Ok(Args { positional, flags })
+        let own = positional
+            .first()
+            .and_then(|cmd| FLAGS.iter().find(|(c, _)| c == cmd));
+        for (name, _) in &pairs {
+            if !FLAGS
+                .iter()
+                .any(|(_, flags)| flags.contains(&name.as_str()))
+            {
+                return Err(format!("unknown flag `--{name}`"));
+            }
+            if let Some((cmd, flags)) = own {
+                if !flags.contains(&name.as_str()) {
+                    return Err(format!("`ipas {cmd}` does not read `--{name}`"));
+                }
+            }
+        }
+        Ok(Args {
+            positional,
+            flags: pairs.into_iter().collect(),
+        })
     }
 
     /// The value of `--name`, or `default` when the flag is absent.

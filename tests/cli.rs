@@ -140,6 +140,8 @@ fn unknown_flags_and_unparseable_values_fail_by_name() {
         (&["--incremental"][..], "`--incremental`"),
         (&["--run", "50"][..], "`--run`"),
         (&["--runs", "abc"][..], "`--runs`"),
+        // A flag of another subcommand (`protect --top`).
+        (&["--runs", "40", "--top", "9"][..], "`--top`"),
     ] {
         let out = ipas()
             .arg("campaign")
