@@ -11,11 +11,13 @@
 //!   reused`: the compiled engine at ladder input 3 (the inputs of
 //!   `bench_e2e`'s `campaign_ladder` workload), with enough runs to
 //!   simulate 750,000 golden-run instructions per base-input run
-//!   (1.5·10⁸ at the default size, as `campaign_ladder` does). The
-//!   cold row rebuilds its workload (untimed) before every repetition,
-//!   so each campaign captures its own ladder; the reused row runs two
-//!   untimed campaigns on its workload first, so every timed one
-//!   reuses the ladder the workload keeps.
+//!   (1.5·10⁸ at the default size, as `campaign_ladder` does).
+//!
+//! A workload keeps its ladder from its second campaign on, so the
+//! reused row runs two untimed campaigns on its workload first and
+//! every timed one reuses that ladder. Every other row rebuilds its
+//! workload (untimed) before each repetition, so each timed campaign
+//! captures its own, as the one campaign on a fresh workload does.
 //!
 //! Per row it reports the runs, the nominal instructions, a SHA-256
 //! digest of the campaign's journal record lines, the median and
@@ -74,12 +76,14 @@ const PER_BUILD: [usize; 3] = [5, 6, 7];
 /// One measured campaign.
 struct Row {
     name: String,
+    kind: Kind,
+    input: i64,
     workload: Workload,
     engine: Engine,
     runs: usize,
-    /// The kernel and input of a cold ladder row, whose workload is
-    /// rebuilt before every repetition.
-    cold: Option<(Kind, i64)>,
+    /// Whether the timed campaigns reuse the workload's kept ladder
+    /// instead of running on a rebuilt workload.
+    reused: bool,
 }
 
 /// What one campaign produced, the time aside: the same on every
@@ -120,30 +124,34 @@ fn rows(base_runs: usize) -> Vec<Row> {
         for engine in [Engine::Reference, Engine::Compiled] {
             rows.push(Row {
                 name: format!("{} {input} {engine}", kind.name()),
+                kind,
+                input,
                 workload: kind.build(input).expect("workload builds"),
                 engine,
                 runs: base_runs,
-                cold: None,
+                reused: false,
             });
         }
     }
     for kind in Kind::ALL {
         let input = kind.input_ladder()[2];
-        for cold in [true, false] {
+        for reused in [false, true] {
             let workload = kind.build(input).expect("workload builds");
             let budget = base_runs as u64 * LADDER_INSTS_PER_RUN;
             let row = Row {
                 name: format!(
                     "{} {input} ladder {}",
                     kind.name(),
-                    if cold { "cold" } else { "reused" }
+                    if reused { "reused" } else { "cold" }
                 ),
+                kind,
+                input,
                 runs: (budget.div_ceil(workload.nominal_insts.max(1)) as usize).max(8),
                 workload,
                 engine: Engine::Compiled,
-                cold: cold.then_some((kind, input)),
+                reused,
             };
-            if !cold {
+            if reused {
                 // The second campaign's engine is the one the workload
                 // keeps for the timed ones.
                 campaign(&row);
@@ -186,9 +194,10 @@ fn header(json: &mut String, base_runs: usize, reps: &str) {
 }
 
 /// The report body: per kernel the base-input rows (`workloads`, with
-/// the speedup), then the cold and reused ladder rows (`ladder`). `rows` holds, per measured row
-/// in [`rows`] order, its identity fields and its timed object as JSON;
-/// `medians` the times the speedup divides.
+/// the speedup), then the cold and reused ladder rows (`ladder`).
+/// `rows` holds, per measured row in [`rows`] order, its identity
+/// fields and its timed object as JSON; `medians` the times the
+/// speedup divides.
 fn body(json: &mut String, rows: &[(String, String)], medians: &[f64]) {
     let kernels = Kind::ALL.len();
     json.push_str("  \"workloads\": [\n");
@@ -255,8 +264,8 @@ fn measure(out_path: &str, base_runs: usize, reps: usize) {
     for rep in 0..reps {
         eprintln!("[bench_interp] repetition {} of {reps}", rep + 1);
         for (i, row) in rows.iter_mut().enumerate() {
-            if let Some((kind, input)) = row.cold {
-                row.workload = kind.build(input).expect("workload builds");
+            if !row.reused {
+                row.workload = row.kind.build(row.input).expect("workload builds");
             }
             let (result, seconds) = campaign(row);
             times[i].push(seconds);

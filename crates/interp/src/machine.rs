@@ -402,22 +402,35 @@ impl OutputStream {
 
     /// All integer items, in emission order (floats are skipped).
     pub fn as_ints(&self) -> Vec<i64> {
-        self.items()
-            .filter_map(|i| match i {
-                OutItem::I(v) => Some(v),
-                OutItem::F(_) => None,
-            })
-            .collect()
+        self.bits_of(false).into_iter().map(|b| b as i64).collect()
     }
 
     /// All float items, in emission order (integers are skipped).
     pub fn as_floats(&self) -> Vec<f64> {
-        self.items()
-            .filter_map(|i| match i {
-                OutItem::F(v) => Some(v),
-                OutItem::I(_) => None,
-            })
-            .collect()
+        self.bits_of(true).into_iter().map(f64::from_bits).collect()
+    }
+
+    /// The bits of every float (or every int) item, in emission order,
+    /// a mask word at a time: verifiers call this on every run.
+    fn bits_of(&self, float: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        for (chunk, &mask) in self.bits.chunks(64).zip(&self.floats) {
+            let live = match chunk.len() {
+                64 => u64::MAX,
+                n => low_bits(n),
+            };
+            let wanted = if float { mask } else { !mask & live };
+            if wanted == live {
+                out.extend_from_slice(chunk);
+            } else if wanted != 0 {
+                let picked = chunk
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| wanted >> i & 1 == 1);
+                out.extend(picked.map(|(_, &b)| b));
+            }
+        }
+        out
     }
 
     /// Bit-exact equality with the first `len` items of `golden`:
@@ -2108,10 +2121,19 @@ bb0:
             .collect();
         let golden = stream(&items);
         let mut restored = stream(&[OutItem::F(9.0); 130]);
+        assert_eq!(restored.as_floats(), vec![9.0; 130]);
+        assert!(restored.as_ints().is_empty());
         for len in [0, 1, 63, 64, 65, 100, 128, 129, 150] {
             restored.restore_prefix(&golden, len);
             let expected = stream(&items[..len]);
             assert_eq!(restored, expected, "length {len}");
+            let ints: Vec<i64> = (0..len as i64)
+                .filter(|k| k % 3 != 0)
+                .map(|k| k - 75)
+                .collect();
+            let floats: Vec<f64> = (0..len).step_by(3).map(|k| k as f64 * 0.25).collect();
+            assert_eq!(restored.as_ints(), ints, "length {len}");
+            assert_eq!(restored.as_floats(), floats, "length {len}");
             assert!(restored.same_bits(&golden, len), "length {len}");
             assert_eq!(restored.floats, expected.floats, "length {len}");
             // A restored stream keeps appending where the prefix ends.
