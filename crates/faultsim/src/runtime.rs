@@ -48,8 +48,8 @@ use crate::{
 };
 
 /// One plan-stream campaign (see the module docs). `W` is the workload,
-/// borrowed (`&Workload`) by in-process campaigns or owned by a daemon
-/// job.
+/// borrowed (`&Workload`) by in-process campaigns or shared
+/// (`Arc<Workload>`) by the daemon jobs on one program.
 #[derive(Debug)]
 pub struct CampaignRuntime<W> {
     workload: W,

@@ -20,7 +20,8 @@
 //! - [`proto`] — newline-delimited flat JSON over the socket, sharing
 //!   the campaign journal's codec so journal records stream to clients
 //!   verbatim;
-//! - [`server`] — the daemon: prepare/chunk/finalize tasks, `.job`
+//! - [`server`] — the daemon: prepare/chunk/finalize tasks, a
+//!   byte-capped cache of prepared workloads shared across jobs, `.job`
 //!   checkpoints, journal-backed restart-resume, graceful drain on
 //!   `SIGTERM`;
 //! - [`client`] — the `ipas client` side: submit/status/watch/cancel/
@@ -28,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod cache;
 pub mod client;
 pub mod job;
 pub mod proto;
