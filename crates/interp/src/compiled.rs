@@ -461,6 +461,36 @@ impl CompiledProgram {
     pub fn num_functions(&self) -> usize {
         self.funcs.len()
     }
+
+    /// Heap bytes the lowered program holds, at allocated capacity.
+    pub fn bytes(&self) -> usize {
+        // A hash table holds a control byte besides each slot.
+        let index = self.by_name.capacity() * (std::mem::size_of::<(String, FuncId)>() + 1)
+            + self.by_name.keys().map(String::capacity).sum::<usize>();
+        let funcs: usize = self.funcs.iter().map(CompiledFunction::bytes).sum();
+        self.funcs.capacity() * std::mem::size_of::<CompiledFunction>() + funcs + index
+    }
+}
+
+impl CompiledFunction {
+    /// Heap bytes this function's arrays hold.
+    fn bytes(&self) -> usize {
+        let call_args: usize = self
+            .code
+            .iter()
+            .map(|inst| match inst {
+                CInst::Call { args, .. } => args.len() * 4,
+                _ => 0,
+            })
+            .sum();
+        let moves: usize = self.edges.iter().map(|e| e.moves.len() * 8).sum();
+        self.params.capacity() * std::mem::size_of::<Type>()
+            + self.consts.capacity() * 8
+            + self.code.capacity() * std::mem::size_of::<CInst>()
+            + call_args
+            + self.edges.capacity() * std::mem::size_of::<Edge>()
+            + moves
+    }
 }
 
 /// Converts an IR constant to its runtime register image (the bits of

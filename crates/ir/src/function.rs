@@ -175,6 +175,23 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
+    /// Heap bytes the function holds: its name, parameter types,
+    /// blocks and instruction arena, at their allocated capacities.
+    pub(crate) fn bytes(&self) -> usize {
+        let block_lists: usize = self
+            .blocks
+            .iter()
+            .map(|b| b.insts.capacity() * std::mem::size_of::<InstId>())
+            .sum();
+        let operand_lists: usize = self.insts.iter().map(Inst::heap_bytes).sum();
+        self.name.capacity()
+            + self.params.capacity() * std::mem::size_of::<Type>()
+            + self.blocks.capacity() * std::mem::size_of::<Block>()
+            + block_lists
+            + self.insts.capacity() * std::mem::size_of::<Inst>()
+            + operand_lists
+    }
+
     /// Appends a fresh empty block, returning its id.
     pub fn add_block(&mut self) -> BlockId {
         self.blocks.push(Block::default());

@@ -687,6 +687,18 @@ pub enum Inst {
 }
 
 impl Inst {
+    /// Heap bytes the instruction's operand list holds (calls and phis
+    /// only), at its allocated capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Inst::Call { args, .. } => args.capacity() * std::mem::size_of::<Value>(),
+            Inst::Phi { incomings, .. } => {
+                incomings.capacity() * std::mem::size_of::<(BlockId, Value)>()
+            }
+            _ => 0,
+        }
+    }
+
     /// Returns `true` if this instruction ends a basic block.
     pub fn is_terminator(&self) -> bool {
         matches!(

@@ -130,6 +130,19 @@ impl Module {
     pub fn to_text(&self) -> String {
         self.text().to_string()
     }
+
+    /// Heap bytes the module holds: its functions at their allocated
+    /// capacities, its name index and, once printed, its text memo.
+    pub fn bytes(&self) -> usize {
+        // A hash table holds a control byte besides each slot.
+        let index = self.by_name.capacity() * (std::mem::size_of::<(String, FuncId)>() + 1)
+            + self.by_name.keys().map(String::capacity).sum::<usize>();
+        self.name.capacity()
+            + self.funcs.capacity() * std::mem::size_of::<Function>()
+            + self.funcs.iter().map(Function::bytes).sum::<usize>()
+            + index
+            + self.text.get().map_or(0, String::capacity)
+    }
 }
 
 impl fmt::Display for Module {
@@ -228,6 +241,30 @@ mod tests {
             format!("{:?}", Module::default()),
             "Module { name: \"\", funcs: [], by_name: {} }"
         );
+    }
+
+    #[test]
+    fn bytes_count_functions_operand_lists_and_the_text_memo() {
+        let mut m = Module::new("m");
+        let empty = m.bytes();
+        let f = m.add_function(ret_function("f"));
+        let one = m.bytes();
+        assert!(one >= empty + std::mem::size_of::<Function>() + "f".len());
+        let entry = m.function(f).entry();
+        m.function_mut(f).insert_inst(
+            entry,
+            0,
+            crate::Inst::Call {
+                callee: crate::inst::Callee::Func(f),
+                args: vec![crate::Value::param(0); 3],
+                ret_ty: Type::I64,
+            },
+        );
+        let call = m.bytes();
+        assert!(call >= one + 3 * std::mem::size_of::<crate::Value>());
+        // Printing fills the memo, which the module then holds.
+        let text = m.text().len();
+        assert!(m.bytes() >= call + text);
     }
 
     #[test]
