@@ -858,24 +858,41 @@ pub(crate) fn maybe_flip_branch(
     !taken
 }
 
-/// Register-resident image of the per-instruction counters, for the
-/// compiled engine's hot loop.
+/// The per-instruction counters of the compiled engine's hot loop.
 ///
 /// The reference engine updates [`RunState::dynamic_insts`] and
 /// [`RunState::eligible_results`] through the state pointer on every
 /// instruction; at pre-decoded speeds those round-trips are a
-/// measurable fraction of the whole instruction. The compiled engine
-/// instead loads the counters into this plain struct at frame entry
-/// ([`HotCounters::load`]), updates them as locals the optimizer keeps
-/// in registers, and writes them back ([`HotCounters::flush`]) at frame
-/// exit, around calls into another frame, and before any slow path that
-/// reads the true counts from `RunState` (watermark processing,
-/// full injection bookkeeping). `flush` is idempotent, so every exit
-/// edge — returns, traps, budget stops — can flush unconditionally.
+/// measurable fraction of the whole instruction. The compiled engine's
+/// loop instead copies the counters into a local of this type
+/// ([`HotCounters::load`]) when it starts and writes them back
+/// ([`HotCounters::flush`]) when it exits. The local stays in registers
+/// only while no out-of-line function can reference it, so the methods
+/// come in two kinds:
+///
+/// * the per-instruction fast paths, [`HotCounters::tick_due`],
+///   [`HotCounters::tick`], [`HotCounters::inject`],
+///   [`HotCounters::load_bits`], [`HotCounters::store_bits`] and
+///   [`HotCounters::branch_edge`], are `#[inline(always)]` and touch
+///   only the counters;
+/// * every rare path is a `#[cold]` `#[inline(never)]` function that
+///   takes by value what it reads and returns what it changes. The
+///   watermark slow path ([`HotCounters::tick_slow`], and the compiled
+///   engine's checkpoint boundary built on it) takes the counters,
+///   flushes the copy into `RunState` and returns the re-armed
+///   watermark; an injection hit ([`injection_hit`]) and site-restricted
+///   or profiling injection ([`inject_slow_bits`]) take the instruction
+///   count they record and change no counter.
+///
+/// `flush` is idempotent, so a slow path may flush a copy and the loop
+/// still flushes its own counters on every exit edge: returns, traps,
+/// budget stops.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct HotCounters {
     pub(crate) dynamic_insts: u64,
-    next_stop: u64,
+    /// [`RunState::next_stop`]: the tick count at which
+    /// [`HotCounters::tick_due`] reports the slow path due.
+    pub(crate) next_stop: u64,
     eligible_results: u64,
     loads: u64,
     stores: u64,
@@ -923,10 +940,10 @@ impl HotCounters {
     /// watermark without checking (as in the reference); the next tick
     /// then lands in the slow path, which re-derives both conditions
     /// exactly.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn tick(&mut self, state: &mut RunState<'_>) -> Result<(), Stop> {
         if self.tick_due() {
-            self.tick_slow(state)?;
+            self.next_stop = self.tick_slow(state)?;
         }
         Ok(())
     }
@@ -936,25 +953,20 @@ impl HotCounters {
     /// this directly so its slow path can also take golden checkpoints;
     /// mid-instruction ticks go through [`HotCounters::tick`], which
     /// leaves a due checkpoint armed for the next boundary.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn tick_due(&mut self) -> bool {
         self.dynamic_insts += 1;
         self.dynamic_insts >= self.next_stop
     }
 
-    /// The budget/poll half of the slow path: flushes, checks, and
-    /// reloads the (re-armed) watermark.
+    /// The budget/poll half of the slow path: flushes the counters,
+    /// checks, and returns the re-armed watermark.
     #[cold]
-    pub(crate) fn tick_slow(&mut self, state: &mut RunState<'_>) -> Result<(), Stop> {
+    #[inline(never)]
+    pub(crate) fn tick_slow(self, state: &mut RunState<'_>) -> Result<u64, Stop> {
         self.flush(state);
         tick_watermark(state)?;
-        self.next_stop = state.next_stop;
-        Ok(())
-    }
-
-    /// Reloads the watermark after the slow path re-armed it.
-    pub(crate) fn reload_stop(&mut self, state: &RunState<'_>) {
-        self.next_stop = state.next_stop;
+        Ok(state.next_stop)
     }
 
     /// Bit-image twin of [`maybe_inject`] for the pre-decoded engine,
@@ -967,13 +979,13 @@ impl HotCounters {
     ///
     /// The fast path covers the campaign-dominant configurations (no
     /// injection, or a global-index plan) with one counter bump and one
-    /// compare against [`RunState::fast_target`]; site-restricted plans
-    /// and site profiling divert to [`inject_slow_bits`], which
-    /// replicates [`maybe_inject`]'s full bookkeeping. Both paths must
-    /// stay in lock-step with `maybe_inject`;
-    /// `injection_bits_twin_agrees` in the compiled-engine tests pins
-    /// the equivalence.
-    #[inline]
+    /// compare against [`RunState::fast_target`]; the hit goes to
+    /// [`injection_hit`], and site-restricted plans and site profiling
+    /// divert to [`inject_slow_bits`], which replicates
+    /// [`maybe_inject`]'s full bookkeeping. Both paths must stay in
+    /// lock-step with `maybe_inject`; `injection_bits_twin_agrees` in the
+    /// compiled-engine tests pins the equivalence.
+    #[inline(always)]
     pub(crate) fn inject(
         &mut self,
         state: &mut RunState<'_>,
@@ -985,24 +997,16 @@ impl HotCounters {
         let n = self.eligible_results;
         self.eligible_results = n + 1;
         if self.slow_inject {
-            self.flush(state);
-            return inject_slow_bits(state, n, fid, id, width, bits);
+            return inject_slow_bits(state, n, self.dynamic_insts, fid, id, width, bits);
         }
         if n != self.fast_target {
             return bits;
         }
-        match state.injection {
-            Some(inj) => {
-                state.injected_site = Some((fid, id));
-                state.injected_at_inst = Some(self.dynamic_insts);
-                inj.model.corrupt_bits(inj.bit, width, bits)
-            }
-            None => bits,
-        }
+        injection_hit(state, self.dynamic_insts, (fid, id), width, bits)
     }
 
     /// Bit-image twin of [`maybe_corrupt_load`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn load_bits(
         &mut self,
         state: &mut RunState<'_>,
@@ -1015,14 +1019,11 @@ impl HotCounters {
         if n != self.load_target {
             return bits;
         }
-        let inj = state.injection.expect("load target armed without a plan");
-        state.injected_site = Some((fid, id));
-        state.injected_at_inst = Some(self.dynamic_insts);
-        inj.model.corrupt_bits(inj.bit, 64, bits)
+        injection_hit(state, self.dynamic_insts, (fid, id), 64, bits)
     }
 
     /// Bit-image twin of [`maybe_corrupt_store`].
-    #[inline]
+    #[inline(always)]
     pub(crate) fn store_bits(
         &mut self,
         state: &mut RunState<'_>,
@@ -1035,14 +1036,13 @@ impl HotCounters {
         if n != self.store_target {
             return bits;
         }
-        let inj = state.injection.expect("store target armed without a plan");
-        state.injected_site = Some((fid, id));
-        state.injected_at_inst = Some(self.dynamic_insts);
-        inj.model.corrupt_bits(inj.bit, 64, bits)
+        injection_hit(state, self.dynamic_insts, (fid, id), 64, bits)
     }
 
-    /// Twin of [`maybe_flip_branch`] for the pre-decoded engine.
-    #[inline]
+    /// Twin of [`maybe_flip_branch`] for the pre-decoded engine. Only a
+    /// [`FaultModel::BranchFlip`] plan arms the branch target, and its
+    /// corruption of the decision's bit is the inversion.
+    #[inline(always)]
     pub(crate) fn branch_edge(
         &mut self,
         state: &mut RunState<'_>,
@@ -1055,9 +1055,7 @@ impl HotCounters {
         if n != self.branch_target {
             return taken;
         }
-        state.injected_site = Some((fid, id));
-        state.injected_at_inst = Some(self.dynamic_insts);
-        !taken
+        injection_hit(state, self.dynamic_insts, (fid, id), 1, taken as u64) != 0
     }
 }
 
@@ -1080,12 +1078,34 @@ fn tick_watermark(state: &mut RunState<'_>) -> Result<(), Stop> {
     Ok(())
 }
 
+/// The armed target of the plan's site class was reached at instruction
+/// `at`: records the injection at `site` and returns the plan's
+/// corruption of the `width`-bit image `bits`. Shared by the compiled
+/// engine's value, load, store and branch fast paths.
+#[cold]
+#[inline(never)]
+fn injection_hit(
+    state: &mut RunState<'_>,
+    at: u64,
+    site: (FuncId, InstId),
+    width: u32,
+    bits: u64,
+) -> u64 {
+    let inj = state.injection.expect("a target armed without a plan");
+    state.injected_site = Some(site);
+    state.injected_at_inst = Some(at);
+    inj.model.corrupt_bits(inj.bit, width, bits)
+}
+
 /// Full injection bookkeeping (site profiling, site-restricted plans)
 /// for the bit-image engine. `n` is the eligible index already claimed
-/// by the caller.
+/// by the caller and `at` the instruction count an injection records.
+#[cold]
+#[inline(never)]
 fn inject_slow_bits(
     state: &mut RunState<'_>,
     n: u64,
+    at: u64,
     fid: FuncId,
     id: InstId,
     width: u32,
@@ -1108,7 +1128,7 @@ fn inject_slow_bits(
     match state.injection {
         Some(inj) if inj.model.injects_values() && inj.target == counter => {
             state.injected_site = Some((fid, id));
-            state.injected_at_inst = Some(state.dynamic_insts);
+            state.injected_at_inst = Some(at);
             inj.model.corrupt_bits(inj.bit, width, bits)
         }
         _ => bits,
