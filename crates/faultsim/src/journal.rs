@@ -21,10 +21,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ipas_ir::{sha256, FuncId, InstId, Module};
-
 use ipas_ir::json::{Fields, LineBuilder};
-use ipas_ir::parser::parse_module;
+use ipas_ir::{FuncId, InstId, Module};
 
 use crate::{FaultModel, HarnessFailure, InjectionRecord, Outcome, PlanOutcome, SamplingMode};
 
@@ -144,19 +142,12 @@ pub struct JournalHeader {
 }
 
 /// A journal header's `module` field: the SHA-256, as 64 lowercase hex
-/// digits, of `module`'s text after one parse round trip. The printer
-/// writes each value under its arena index and the parser numbers values
-/// densely in layout order, so a pass's output and the same module read
-/// back from its printed IR (what a store hit returns) print differently
-/// but share this digest; a second round trip is a fixpoint.
+/// digits, of `module`'s text after one parse round trip
+/// ([`Module::canonical_digest`], memoized with the module's text). A
+/// pass's output and the same module read back from its printed IR
+/// (what a store hit returns) print differently but share this digest.
 pub fn module_digest(module: &Module) -> String {
-    let digest = |text: &str| sha256::hex(&sha256::sha256(text.as_bytes()));
-    match parse_module(module.text()) {
-        Ok(canonical) => digest(canonical.text()),
-        // Printed IR always parses (the fuzz round-trip oracle checks
-        // it); the printed text is still a faithful digest if not.
-        Err(_) => digest(module.text()),
-    }
+    module.canonical_digest().to_string()
 }
 
 /// Outcomes recovered from an existing journal, keyed by plan index.
@@ -533,6 +524,8 @@ fn check_header(fields: &Fields, expect: &JournalHeader) -> Result<(), JournalEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipas_ir::parser::parse_module;
+    use ipas_ir::sha256;
 
     fn header() -> JournalHeader {
         JournalHeader {

@@ -5,6 +5,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::function::Function;
+use crate::sha256;
 
 /// Identifies a function within a [`Module`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,15 +34,17 @@ impl fmt::Display for FuncId {
 /// Function ids are assigned in insertion order and never invalidated.
 ///
 /// The canonical printed text is memoized: [`Module::text`] prints on
-/// first use and later calls read the memo. [`Module::add_function`]
-/// and [`Module::function_mut`], the only ways to mutate a module,
-/// clear it.
+/// first use and later calls read the memo, and so is its
+/// [`Module::canonical_digest`]. [`Module::add_function`] and
+/// [`Module::function_mut`], the only ways to mutate a module, clear
+/// both.
 #[derive(Clone, Default)]
 pub struct Module {
     name: String,
     funcs: Vec<Function>,
     by_name: HashMap<String, FuncId>,
     text: OnceLock<String>,
+    digest: OnceLock<String>,
 }
 
 impl Module {
@@ -52,6 +55,7 @@ impl Module {
             funcs: Vec::new(),
             by_name: HashMap::new(),
             text: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -72,7 +76,7 @@ impl Module {
             "duplicate function name `{}`",
             func.name()
         );
-        self.text.take();
+        self.clear_memos();
         self.funcs.push(func);
         id
     }
@@ -97,7 +101,7 @@ impl Module {
     ///
     /// Panics if `id` is out of range.
     pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
-        self.text.take();
+        self.clear_memos();
         &mut self.funcs[id.index()]
     }
 
@@ -125,6 +129,30 @@ impl Module {
         self.text.get_or_init(|| crate::printer::print_module(self))
     }
 
+    /// The SHA-256, as 64 lowercase hex digits, of the module's text
+    /// after one parse round trip, memoized like [`Module::text`]. The
+    /// printer writes each value under its arena index and the parser
+    /// numbers values densely in layout order, so a pass's output and
+    /// the same module read back from its printed IR print differently
+    /// but share this digest; a second round trip is a fixpoint.
+    pub fn canonical_digest(&self) -> &str {
+        self.digest.get_or_init(|| {
+            let digest = |text: &str| sha256::hex(&sha256::sha256(text.as_bytes()));
+            match crate::parser::parse_module(self.text()) {
+                Ok(canonical) => digest(canonical.text()),
+                // Printed IR always parses (the fuzz round-trip oracle
+                // checks it); the printed text is still a faithful
+                // digest if not.
+                Err(_) => digest(self.text()),
+            }
+        })
+    }
+
+    fn clear_memos(&mut self) {
+        self.text.take();
+        self.digest.take();
+    }
+
     /// Renders the module in the textual IR format (an owned copy of
     /// [`Module::text`]).
     pub fn to_text(&self) -> String {
@@ -132,7 +160,8 @@ impl Module {
     }
 
     /// Heap bytes the module holds: its functions at their allocated
-    /// capacities, its name index and, once printed, its text memo.
+    /// capacities, its name index and, once computed, its text and
+    /// digest memos.
     pub fn bytes(&self) -> usize {
         // A hash table holds a control byte besides each slot.
         let index = self.by_name.capacity() * (std::mem::size_of::<(String, FuncId)>() + 1)
@@ -142,6 +171,7 @@ impl Module {
             + self.funcs.iter().map(Function::bytes).sum::<usize>()
             + index
             + self.text.get().map_or(0, String::capacity)
+            + self.digest.get().map_or(0, String::capacity)
     }
 }
 
@@ -151,8 +181,8 @@ impl fmt::Display for Module {
     }
 }
 
-/// Shows the module's contents, not its text memo, so the output does
-/// not depend on whether the module was printed.
+/// Shows the module's contents, not its memos, so the output does not
+/// depend on whether the module was printed or digested.
 impl fmt::Debug for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Module")
@@ -194,13 +224,19 @@ mod tests {
         b.finish()
     }
 
-    /// The memo must always equal a fresh print, and so must a clone's.
+    /// The memos must always equal a fresh print and a fresh digest,
+    /// and so must a clone's.
     fn assert_memo_fresh(m: &Module) {
         let fresh = crate::printer::print_module(m);
         assert_eq!(m.text(), fresh);
         assert_eq!(m.to_text(), fresh);
         assert_eq!(m.to_string(), fresh);
         assert_eq!(m.clone().text(), fresh);
+        let canonical = crate::parser::parse_module(&fresh)
+            .map_or(fresh, |parsed| crate::printer::print_module(&parsed));
+        let digest = sha256::hex(&sha256::sha256(canonical.as_bytes()));
+        assert_eq!(m.canonical_digest(), digest);
+        assert_eq!(m.clone().canonical_digest(), digest);
     }
 
     #[test]
@@ -210,7 +246,8 @@ mod tests {
         let f = m.add_function(ret_function("f"));
         assert_memo_fresh(&m);
         let before = m.text().to_string();
-        // Mutate through `function_mut`: the memo must not go stale.
+        let digest_before = m.canonical_digest().to_string();
+        // Mutate through `function_mut`: the memos must not go stale.
         let entry = m.function(f).entry();
         m.function_mut(f).insert_inst(
             entry,
@@ -224,6 +261,7 @@ mod tests {
         );
         assert_memo_fresh(&m);
         assert_ne!(m.text(), before);
+        assert_ne!(m.canonical_digest(), digest_before);
         m.add_function(ret_function("g"));
         assert_memo_fresh(&m);
         assert!(m.text().contains("@g"));
@@ -235,6 +273,7 @@ mod tests {
         m.add_function(ret_function("f"));
         let unprinted = format!("{m:?}");
         let _ = m.text();
+        let _ = m.canonical_digest();
         assert_eq!(format!("{m:?}"), unprinted);
         assert!(unprinted.starts_with("Module { name: \"m\", funcs: ["));
         assert_eq!(
