@@ -73,6 +73,13 @@
 //! lowered function by `check_function`: every slot is inside its
 //! frame, every edge targets an instruction, and the code ends in a
 //! terminator.
+//!
+//! The loop comes in two instantiations, armed and disarmed
+//! (`hot_loop::<ARMED>`). An injection run starts armed and continues
+//! disarmed from the first instruction boundary after its fault fires;
+//! the disarmed loop counts events without comparing them against
+//! injection targets. Golden runs never arm; site-profiling runs and
+//! site-restricted plans never disarm.
 
 use std::collections::HashMap;
 
@@ -86,7 +93,7 @@ use ipas_ir::{
 use crate::env::{Env, SerialEnv};
 use crate::machine::{
     exec_intrinsic, is_fault_site, no_such_function, validate_entry, HotCounters, Injection,
-    RunConfig, RunError, RunOutput, RunState, SiteClass, Stop, MAX_CALL_DEPTH,
+    RunConfig, RunError, RunOutput, RunState, SiteClass, Stop, HAND_OVER, MAX_CALL_DEPTH,
 };
 use crate::memory::{gep_addr, Image, Memory, POISON_ADDR};
 use crate::rtval::RtVal;
@@ -749,12 +756,6 @@ fn float_op(op: BinOp, a: f64, b: f64) -> f64 {
     }
 }
 
-/// True when `insts[k]` is directly consumed-by-successor fusable with
-/// `insts[k - 1]`: a `condbr` branching on the preceding `icmp`/`fcmp`
-/// ([`CInst::IcmpBr`]/[`CInst::FcmpBr`]) or a `load`/`store` addressing
-/// through the preceding `gep` ([`CInst::GepLoad`] and friends). Both
-/// lowering passes use this single predicate, so instruction indices
-/// stay consistent.
 /// Address computation for the pre-folded `GepConst*` variants. The
 /// byte offset is exact (lowering refuses to fold an overflowing
 /// `index * 8`), so this matches [`gep_addr`] bit for bit on the same
@@ -764,6 +765,12 @@ fn gep_const_addr(base: u64, offset: i64) -> u64 {
     base.checked_add_signed(offset).unwrap_or(POISON_ADDR)
 }
 
+/// True when `insts[k]` is directly consumed-by-successor fusable with
+/// `insts[k - 1]`: a `condbr` branching on the preceding `icmp`/`fcmp`
+/// ([`CInst::IcmpBr`]/[`CInst::FcmpBr`]) or a `load`/`store` addressing
+/// through the preceding `gep` ([`CInst::GepLoad`] and friends). Both
+/// lowering passes use this single predicate, so instruction indices
+/// stay consistent.
 fn fuses_with_prev(func: &Function, insts: &[InstId], k: usize) -> bool {
     if k == 0 {
         return false;
@@ -1267,7 +1274,8 @@ struct Frame {
     fid: FuncId,
     /// Where the frame continues: for a suspended caller, the
     /// instruction after its pending call; for the running frame, only
-    /// meaningful in a checkpoint (the instruction about to execute).
+    /// meaningful in a checkpoint or at the armed loop's hand-over (the
+    /// instruction about to execute).
     pc: usize,
     /// First stack slot of the frame's window.
     base: usize,
@@ -1593,19 +1601,42 @@ impl<'p> CompiledMachine<'p> {
 
     /// Runs the machine from its current top frame to completion.
     ///
+    /// A run that can still be injected starts in the armed loop, which
+    /// hands it over to the disarmed loop at the first instruction
+    /// boundary after its fault fires. Golden runs, ladder captures and
+    /// runs whose fault has fired run disarmed from the start; site
+    /// profiling and site-restricted plans stay armed throughout (see
+    /// [`RunState::armed`]).
+    fn exec_loop(
+        &mut self,
+        state: &mut RunState<'_>,
+        cp: &mut Checkpoints<'_>,
+    ) -> Result<Option<u64>, Stop> {
+        if state.armed() {
+            match self.hot_loop::<true>(state, cp) {
+                Err(Stop::Fired) => {}
+                result => return result,
+            }
+        }
+        self.hot_loop::<false>(state, cp)
+    }
+
+    /// One instantiation of the dispatch loop, run from the current top
+    /// frame until it returns, stops or (armed) hands over.
+    ///
     /// The counters are `hot`, a local of this function that no
     /// out-of-line function can reference (the loop is inlined here and
     /// the slow paths take copies), so they stay in registers for the
     /// whole run; every exit edge of the loop lands here and flushes
     /// them back.
     #[inline(never)]
-    fn exec_loop(
+    fn hot_loop<const ARMED: bool>(
         &mut self,
         state: &mut RunState<'_>,
         cp: &mut Checkpoints<'_>,
     ) -> Result<Option<u64>, Stop> {
         let mut hot = HotCounters::load(state);
-        let result = self.dispatch(state, &mut hot, cp);
+        let result = self.dispatch::<ARMED>(state, &mut hot, cp);
         hot.flush(state);
         result
     }
@@ -1701,10 +1732,11 @@ impl<'p> CompiledMachine<'p> {
         e.target as usize
     }
 
-    /// The dispatch loop, inlined into [`CompiledMachine::exec_loop`]
-    /// so that `hot` is that function's local.
+    /// The dispatch loop, inlined into [`CompiledMachine::hot_loop`]
+    /// so that `hot` is that function's local. Disarmed (`ARMED` false),
+    /// its injection fast paths only count.
     #[inline(always)]
-    fn dispatch(
+    fn dispatch<const ARMED: bool>(
         &mut self,
         state: &mut RunState<'_>,
         hot: &mut HotCounters,
@@ -1725,6 +1757,13 @@ impl<'p> CompiledMachine<'p> {
         loop {
             let inst = fetch(&f.code, pc);
             if hot.tick_due() {
+                if ARMED && hot.next_stop == HAND_OVER {
+                    // The fault has fired. The disarmed loop resumes at
+                    // this boundary and charges its instruction itself.
+                    hot.dynamic_insts -= 1;
+                    self.frames.last_mut().expect("a running frame").pc = pc;
+                    return Err(Stop::Fired);
+                }
                 hot.next_stop = self.boundary(state, *hot, pc, cp)?;
             }
             pc += 1;
@@ -1739,7 +1778,7 @@ impl<'p> CompiledMachine<'p> {
                     let a = win.get(*lhs) as i64;
                     let b = win.get(*rhs) as i64;
                     let v = int_op(*op, a, b);
-                    let bits = hot.inject(state, f.fid, *site, W64, v as u64);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v as u64);
                     win.set(*dst, bits);
                 }
                 CInst::IBinBr {
@@ -1753,7 +1792,7 @@ impl<'p> CompiledMachine<'p> {
                     let a = win.get(*lhs) as i64;
                     let b = win.get(*rhs) as i64;
                     let v = int_op(*op, a, b);
-                    let bits = hot.inject(state, f.fid, *site, W64, v as u64);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v as u64);
                     win.set(*dst, bits);
                     // The folded br is still its own instruction.
                     hot.tick(state)?;
@@ -1767,7 +1806,7 @@ impl<'p> CompiledMachine<'p> {
                     edge,
                 } => {
                     let v = (win.get(*lhs) as i64).wrapping_add(win.get(*rhs) as i64);
-                    let bits = hot.inject(state, f.fid, *site, W64, v as u64);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v as u64);
                     win.set(*dst, bits);
                     hot.tick(state)?;
                     pc = self.take_edge(hot, &f.edges, win, *edge);
@@ -1788,7 +1827,7 @@ impl<'p> CompiledMachine<'p> {
                         return Err(Stop::Trap(Trap::DivOverflow));
                     }
                     let v = if *rem { a % b } else { a / b };
-                    let bits = hot.inject(state, f.fid, *site, W64, v as u64);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v as u64);
                     win.set(*dst, bits);
                 }
                 CInst::FBin {
@@ -1801,7 +1840,7 @@ impl<'p> CompiledMachine<'p> {
                     let a = f64::from_bits(win.get(*lhs));
                     let b = f64::from_bits(win.get(*rhs));
                     let v = float_op(*op, a, b);
-                    let bits = hot.inject(state, f.fid, *site, W64, v.to_bits());
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v.to_bits());
                     win.set(*dst, bits);
                 }
                 CInst::FMul {
@@ -1811,7 +1850,7 @@ impl<'p> CompiledMachine<'p> {
                     site,
                 } => {
                     let v = f64::from_bits(win.get(*lhs)) * f64::from_bits(win.get(*rhs));
-                    let bits = hot.inject(state, f.fid, *site, W64, v.to_bits());
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v.to_bits());
                     win.set(*dst, bits);
                 }
                 CInst::FBinStore {
@@ -1826,13 +1865,13 @@ impl<'p> CompiledMachine<'p> {
                     let a = f64::from_bits(win.get(*lhs));
                     let b = f64::from_bits(win.get(*rhs));
                     let v = float_op(*op, a, b);
-                    let bits = hot.inject(state, f.fid, *site, W64, v.to_bits());
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v.to_bits());
                     win.set(*dst, bits);
                     // The folded store is still its own instruction; it
                     // writes the possibly-flipped image just produced.
                     hot.tick(state)?;
                     let a = win.get(*addr);
-                    let stored = hot.store_bits(state, f.fid, *store_site, bits);
+                    let stored = hot.store_bits::<ARMED>(state, f.fid, *store_site, bits);
                     state.memory.store(a, stored).map_err(Stop::Trap)?;
                 }
                 CInst::BBin {
@@ -1850,7 +1889,7 @@ impl<'p> CompiledMachine<'p> {
                         BinOp::Xor => a ^ b,
                         _ => unreachable!("verifier restricts bool binaries to bitwise"),
                     };
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                 }
                 CInst::Icmp {
@@ -1863,7 +1902,7 @@ impl<'p> CompiledMachine<'p> {
                     let a = win.get(*lhs) as i64;
                     let b = win.get(*rhs) as i64;
                     let v = pred.eval(a, b) as u64;
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                 }
                 CInst::Fcmp {
@@ -1876,7 +1915,7 @@ impl<'p> CompiledMachine<'p> {
                     let a = f64::from_bits(win.get(*lhs));
                     let b = f64::from_bits(win.get(*rhs));
                     let v = pred.eval(a, b) as u64;
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                 }
                 CInst::IcmpBr {
@@ -1892,11 +1931,11 @@ impl<'p> CompiledMachine<'p> {
                     let a = win.get(*lhs) as i64;
                     let b = win.get(*rhs) as i64;
                     let v = pred.eval(a, b) as u64;
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                     // The folded condbr is still its own instruction.
                     hot.tick(state)?;
-                    let taken = hot.branch_edge(state, f.fid, *br_site, bits != 0);
+                    let taken = hot.branch_edge::<ARMED>(state, f.fid, *br_site, bits != 0);
                     let edge = if taken { *then_edge } else { *else_edge };
                     pc = self.take_edge(hot, &f.edges, win, edge);
                 }
@@ -1910,10 +1949,10 @@ impl<'p> CompiledMachine<'p> {
                     else_edge,
                 } => {
                     let v = ((win.get(*lhs) as i64) < (win.get(*rhs) as i64)) as u64;
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                     hot.tick(state)?;
-                    let taken = hot.branch_edge(state, f.fid, *br_site, bits != 0);
+                    let taken = hot.branch_edge::<ARMED>(state, f.fid, *br_site, bits != 0);
                     let edge = if taken { *then_edge } else { *else_edge };
                     pc = self.take_edge(hot, &f.edges, win, edge);
                 }
@@ -1930,31 +1969,31 @@ impl<'p> CompiledMachine<'p> {
                     let a = f64::from_bits(win.get(*lhs));
                     let b = f64::from_bits(win.get(*rhs));
                     let v = pred.eval(a, b) as u64;
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                     hot.tick(state)?;
-                    let taken = hot.branch_edge(state, f.fid, *br_site, bits != 0);
+                    let taken = hot.branch_edge::<ARMED>(state, f.fid, *br_site, bits != 0);
                     let edge = if taken { *then_edge } else { *else_edge };
                     pc = self.take_edge(hot, &f.edges, win, edge);
                 }
                 CInst::CastSitofp { arg, dst, site } => {
                     let v = ((win.get(*arg) as i64) as f64).to_bits();
-                    let bits = hot.inject(state, f.fid, *site, W64, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*dst, bits);
                 }
                 CInst::CastFptosi { arg, dst, site } => {
                     let v = saturating_f64_to_i64(f64::from_bits(win.get(*arg))) as u64;
-                    let bits = hot.inject(state, f.fid, *site, W64, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*dst, bits);
                 }
                 CInst::CastTrunc { arg, dst, site } => {
                     let v = win.get(*arg) & 1;
-                    let bits = hot.inject(state, f.fid, *site, W1, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W1, v);
                     win.set(*dst, bits);
                 }
                 CInst::CastId { arg, dst, site } => {
                     let v = win.get(*arg);
-                    let bits = hot.inject(state, f.fid, *site, W64, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*dst, bits);
                 }
                 CInst::Select {
@@ -1967,7 +2006,7 @@ impl<'p> CompiledMachine<'p> {
                 } => {
                     let c = win.get(*cond) != 0;
                     let v = win.get(if c { *then_v } else { *else_v });
-                    let bits = hot.inject(state, f.fid, *site, *width, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, *width, v);
                     win.set(*dst, bits);
                 }
                 CInst::Alloca { bytes, dst } => {
@@ -1983,12 +2022,12 @@ impl<'p> CompiledMachine<'p> {
                 } => {
                     let a = win.get(*addr);
                     let bits = state.memory.load(a).map_err(Stop::Trap)?;
-                    let bits = hot.load_bits(state, f.fid, *site, bits);
+                    let bits = hot.load_bits::<ARMED>(state, f.fid, *site, bits);
                     win.set(*dst, bits & mask);
                 }
                 CInst::Store { value, addr, site } => {
                     let v = win.get(*value);
-                    let v = hot.store_bits(state, f.fid, *site, v);
+                    let v = hot.store_bits::<ARMED>(state, f.fid, *site, v);
                     let a = win.get(*addr);
                     state.memory.store(a, v).map_err(Stop::Trap)?;
                 }
@@ -2001,7 +2040,7 @@ impl<'p> CompiledMachine<'p> {
                     let p = win.get(*b);
                     let i = win.get(*index);
                     let v = gep_addr(p, i as i64);
-                    let bits = hot.inject(state, f.fid, *site, W64, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*dst, bits);
                 }
                 CInst::GepConst {
@@ -2011,7 +2050,7 @@ impl<'p> CompiledMachine<'p> {
                     site,
                 } => {
                     let v = gep_const_addr(win.get(*b), *offset);
-                    let bits = hot.inject(state, f.fid, *site, W64, v);
+                    let bits = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*dst, bits);
                 }
                 CInst::GepLoad {
@@ -2026,12 +2065,12 @@ impl<'p> CompiledMachine<'p> {
                     let p = win.get(*b);
                     let i = win.get(*index);
                     let v = gep_addr(p, i as i64);
-                    let addr = hot.inject(state, f.fid, *site, W64, v);
+                    let addr = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*gep_dst, addr);
                     // The folded load is still its own instruction.
                     hot.tick(state)?;
                     let bits = state.memory.load(addr).map_err(Stop::Trap)?;
-                    let bits = hot.load_bits(state, f.fid, *load_site, bits);
+                    let bits = hot.load_bits::<ARMED>(state, f.fid, *load_site, bits);
                     win.set(*load_dst, bits & mask);
                 }
                 CInst::GepConstLoad {
@@ -2044,11 +2083,11 @@ impl<'p> CompiledMachine<'p> {
                     mask,
                 } => {
                     let v = gep_const_addr(win.get(*b), *offset);
-                    let addr = hot.inject(state, f.fid, *site, W64, v);
+                    let addr = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*gep_dst, addr);
                     hot.tick(state)?;
                     let bits = state.memory.load(addr).map_err(Stop::Trap)?;
-                    let bits = hot.load_bits(state, f.fid, *load_site, bits);
+                    let bits = hot.load_bits::<ARMED>(state, f.fid, *load_site, bits);
                     win.set(*load_dst, bits & mask);
                 }
                 CInst::GepStore {
@@ -2062,13 +2101,13 @@ impl<'p> CompiledMachine<'p> {
                     let p = win.get(*b);
                     let i = win.get(*index);
                     let v = gep_addr(p, i as i64);
-                    let addr = hot.inject(state, f.fid, *site, W64, v);
+                    let addr = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     // Address lands in its slot before the value is
                     // read: the stored value may be the address itself.
                     win.set(*gep_dst, addr);
                     hot.tick(state)?;
                     let val = win.get(*value);
-                    let val = hot.store_bits(state, f.fid, *store_site, val);
+                    let val = hot.store_bits::<ARMED>(state, f.fid, *store_site, val);
                     state.memory.store(addr, val).map_err(Stop::Trap)?;
                 }
                 CInst::GepConstStore {
@@ -2080,11 +2119,11 @@ impl<'p> CompiledMachine<'p> {
                     value,
                 } => {
                     let v = gep_const_addr(win.get(*b), *offset);
-                    let addr = hot.inject(state, f.fid, *site, W64, v);
+                    let addr = hot.inject::<ARMED>(state, f.fid, *site, W64, v);
                     win.set(*gep_dst, addr);
                     hot.tick(state)?;
                     let val = win.get(*value);
-                    let val = hot.store_bits(state, f.fid, *store_site, val);
+                    let val = hot.store_bits::<ARMED>(state, f.fid, *store_site, val);
                     state.memory.store(addr, val).map_err(Stop::Trap)?;
                 }
                 CInst::Call {
@@ -2142,7 +2181,7 @@ impl<'p> CompiledMachine<'p> {
                         }
                     };
                     if *dst != NO_SLOT {
-                        let bits = hot.inject(state, f.fid, *site, *width, v);
+                        let bits = hot.inject::<ARMED>(state, f.fid, *site, *width, v);
                         win.set(*dst, bits);
                     }
                 }
@@ -2156,7 +2195,7 @@ impl<'p> CompiledMachine<'p> {
                     else_edge,
                 } => {
                     let c = win.get(*cond) != 0;
-                    let c = hot.branch_edge(state, f.fid, *site, c);
+                    let c = hot.branch_edge::<ARMED>(state, f.fid, *site, c);
                     let edge = if c { *then_edge } else { *else_edge };
                     pc = self.take_edge(hot, &f.edges, win, edge);
                 }
@@ -2186,7 +2225,8 @@ impl<'p> CompiledMachine<'p> {
                         unreachable!("frames only suspend at calls")
                     };
                     if *dst != NO_SLOT {
-                        let bits = hot.inject(state, f.fid, *site, *width, ret.unwrap_or(0));
+                        let bits =
+                            hot.inject::<ARMED>(state, f.fid, *site, *width, ret.unwrap_or(0));
                         win.set(*dst, bits);
                     }
                 }
@@ -2530,7 +2570,7 @@ bb3:
                 let mut env2 = SerialEnv;
                 let mut s2 = RunState::start(Memory::new(), &config, &mut env2);
                 let mut hot = HotCounters::load(&s2);
-                let flipped_bits = hot.inject(&mut s2, fid, id, width, value.bits());
+                let flipped_bits = hot.inject::<true>(&mut s2, fid, id, width, value.bits());
                 hot.flush(&mut s2);
                 assert_eq!(flipped.bits(), flipped_bits, "{value:?} bit {bit}");
                 assert_eq!(flipped, RtVal::from_bits(value.ty(), flipped_bits));

@@ -574,6 +574,10 @@ pub(crate) enum Stop {
     /// The compiled engine found the faulty run's whole state equal to
     /// a golden checkpoint: the rest of the run is the golden run's.
     Reconverged,
+    /// The compiled engine's armed loop reached the first instruction
+    /// boundary after its fault fired: the disarmed loop runs the rest
+    /// from the running frame's `pc`.
+    Fired,
 }
 
 /// Mutable per-run state shared by both engines: memory, streams, the
@@ -699,7 +703,17 @@ impl<'e> RunState<'e> {
                     "the compiled engine completes reconverged runs from the golden output"
                 )
             }
+            Err(Stop::Fired) => {
+                unreachable!("the compiled engine hands a fired run to its disarmed loop")
+            }
         }
+    }
+
+    /// Whether the compiled engine must run the armed loop: the plan has
+    /// not fired yet, or the run profiles sites or restricts its plan to
+    /// one site, whose bookkeeping covers every eligible result.
+    pub(crate) fn armed(&self) -> bool {
+        self.slow_inject || (self.injection.is_some() && self.injected_site.is_none())
     }
 
     /// Recomputes [`RunState::next_stop`] from the current count: the
@@ -884,9 +898,16 @@ pub(crate) fn maybe_flip_branch(
 ///   or profiling injection ([`inject_slow_bits`]) take the instruction
 ///   count they record and change no counter.
 ///
+/// The injection fast paths take `ARMED`, the compiled engine's loop
+/// instantiation: an armed loop compares each count with its target,
+/// a disarmed one only bumps the count. A hit in an armed loop sets the
+/// watermark to [`HAND_OVER`] unless the run profiles sites or restricts
+/// its plan to one site, so the next instruction boundary takes the slow
+/// path, where the loop hands the run over to the disarmed one.
+///
 /// `flush` is idempotent, so a slow path may flush a copy and the loop
 /// still flushes its own counters on every exit edge: returns, traps,
-/// budget stops.
+/// budget stops, hand-overs.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct HotCounters {
     pub(crate) dynamic_insts: u64,
@@ -939,11 +960,15 @@ impl HotCounters {
     /// poll multiple. Phi-move charges can jump the counter past the
     /// watermark without checking (as in the reference); the next tick
     /// then lands in the slow path, which re-derives both conditions
-    /// exactly.
+    /// exactly. A [`HAND_OVER`] watermark, left by a hit in the
+    /// instruction's first half, stays set for the next boundary.
     #[inline(always)]
     pub(crate) fn tick(&mut self, state: &mut RunState<'_>) -> Result<(), Stop> {
         if self.tick_due() {
-            self.next_stop = self.tick_slow(state)?;
+            let rearmed = self.tick_slow(state)?;
+            if self.next_stop != HAND_OVER {
+                self.next_stop = rearmed;
+            }
         }
         Ok(())
     }
@@ -984,9 +1009,10 @@ impl HotCounters {
     /// divert to [`inject_slow_bits`], which replicates
     /// [`maybe_inject`]'s full bookkeeping. Both paths must stay in
     /// lock-step with `maybe_inject`; `injection_bits_twin_agrees` in the
-    /// compiled-engine tests pins the equivalence.
+    /// compiled-engine tests pins the equivalence. Disarmed, it only
+    /// counts.
     #[inline(always)]
-    pub(crate) fn inject(
+    pub(crate) fn inject<const ARMED: bool>(
         &mut self,
         state: &mut RunState<'_>,
         fid: FuncId,
@@ -996,18 +1022,21 @@ impl HotCounters {
     ) -> u64 {
         let n = self.eligible_results;
         self.eligible_results = n + 1;
+        if !ARMED {
+            return bits;
+        }
         if self.slow_inject {
             return inject_slow_bits(state, n, self.dynamic_insts, fid, id, width, bits);
         }
         if n != self.fast_target {
             return bits;
         }
-        injection_hit(state, self.dynamic_insts, (fid, id), width, bits)
+        self.hit(state, (fid, id), width, bits)
     }
 
     /// Bit-image twin of [`maybe_corrupt_load`].
     #[inline(always)]
-    pub(crate) fn load_bits(
+    pub(crate) fn load_bits<const ARMED: bool>(
         &mut self,
         state: &mut RunState<'_>,
         fid: FuncId,
@@ -1016,15 +1045,15 @@ impl HotCounters {
     ) -> u64 {
         let n = self.loads;
         self.loads = n + 1;
-        if n != self.load_target {
+        if !ARMED || n != self.load_target {
             return bits;
         }
-        injection_hit(state, self.dynamic_insts, (fid, id), 64, bits)
+        self.hit(state, (fid, id), 64, bits)
     }
 
     /// Bit-image twin of [`maybe_corrupt_store`].
     #[inline(always)]
-    pub(crate) fn store_bits(
+    pub(crate) fn store_bits<const ARMED: bool>(
         &mut self,
         state: &mut RunState<'_>,
         fid: FuncId,
@@ -1033,17 +1062,17 @@ impl HotCounters {
     ) -> u64 {
         let n = self.stores;
         self.stores = n + 1;
-        if n != self.store_target {
+        if !ARMED || n != self.store_target {
             return bits;
         }
-        injection_hit(state, self.dynamic_insts, (fid, id), 64, bits)
+        self.hit(state, (fid, id), 64, bits)
     }
 
     /// Twin of [`maybe_flip_branch`] for the pre-decoded engine. Only a
     /// [`FaultModel::BranchFlip`] plan arms the branch target, and its
     /// corruption of the decision's bit is the inversion.
     #[inline(always)]
-    pub(crate) fn branch_edge(
+    pub(crate) fn branch_edge<const ARMED: bool>(
         &mut self,
         state: &mut RunState<'_>,
         fid: FuncId,
@@ -1052,12 +1081,37 @@ impl HotCounters {
     ) -> bool {
         let n = self.cond_branches;
         self.cond_branches = n + 1;
-        if n != self.branch_target {
+        if !ARMED || n != self.branch_target {
             return taken;
         }
-        injection_hit(state, self.dynamic_insts, (fid, id), 1, taken as u64) != 0
+        self.hit(state, (fid, id), 1, taken as u64) != 0
+    }
+
+    /// A fast-path hit at the current instruction: records it through
+    /// [`injection_hit`] and, unless the run must stay armed (site
+    /// profiling), asks for the hand-over at the next boundary.
+    #[inline(always)]
+    fn hit(
+        &mut self,
+        state: &mut RunState<'_>,
+        site: (FuncId, InstId),
+        width: u32,
+        bits: u64,
+    ) -> u64 {
+        if !self.slow_inject {
+            self.next_stop = HAND_OVER;
+        }
+        injection_hit(state, self.dynamic_insts, site, width, bits)
     }
 }
+
+/// The watermark an armed loop's fast-path hit leaves in
+/// [`HotCounters::next_stop`]: every count reaches it, so the next
+/// instruction boundary takes the slow path, which hands the run over to
+/// the disarmed loop. [`RunState::next_stop`] is never 0 (the budget
+/// stop, poll multiples and checkpoint stops are all at least 1), so the
+/// value means nothing else.
+pub(crate) const HAND_OVER: u64 = 0;
 
 #[cold]
 fn tick_watermark(state: &mut RunState<'_>) -> Result<(), Stop> {

@@ -339,6 +339,135 @@ fn engines_agree_on_every_fused_shape_at_every_budget_and_target() {
     }
 }
 
+/// A loop whose body calls two levels deep: every call result is
+/// injected when its callee's `ret` returns to the caller. Every value
+/// stays non-negative and below 2^62.
+const CALLS_SRC: &str = r#"
+fn @main(i64) -> i64 {
+bb0:
+  br bb1
+bb1:
+  %v1 = phi i64 [bb0: 0, bb2: %v5]
+  %v2 = phi i64 [bb0: 0, bb2: %v4]
+  %v3 = icmp slt %v1, %arg0
+  condbr %v3, bb2, bb3
+bb2:
+  %v4 = call @step(%v2, %v1) -> i64
+  %v5 = add i64 %v1, 1
+  br bb1
+bb3:
+  %v6 = call output_i64(%v2) -> void
+  ret %v2
+}
+fn @step(i64, i64) -> i64 {
+bb0:
+  %v0 = call @square(%arg1) -> i64
+  %v1 = add i64 %arg0, %v0
+  ret %v1
+}
+fn @square(i64) -> i64 {
+bb0:
+  %v0 = mul i64 %arg0, %arg0
+  ret %v0
+}
+"#;
+
+/// The compiled engine's armed loop hands a run over to its disarmed
+/// loop at the first instruction boundary after the fault fires. Three
+/// hand-overs no other case reaches: (a) a fault in a call's result,
+/// which fires at the callee's `ret`; (b) a fault on the last
+/// instruction before a golden checkpoint, where the run must still
+/// reconverge at that checkpoint; (c) site-profiling runs that carry a
+/// plan, which stay armed throughout and must profile as the reference
+/// does.
+#[test]
+fn engines_agree_where_the_fault_hands_over() {
+    let module = ipas::ir::parser::parse_module(CALLS_SRC).expect("parses");
+    ipas::ir::verify::verify_module(&module).expect("verifies");
+    let program = CompiledProgram::compile(&module);
+    let mut machine = CompiledMachine::new(&program);
+    let base = RunConfig {
+        args: vec![RtVal::I64(30)],
+        ..RunConfig::default()
+    };
+    let clean = run_both("calls/clean", &module, &mut machine, &base);
+    assert!(clean.status.is_completed(), "the clean run completes");
+    let budget = RunConfig::budget_from_nominal(clean.dynamic_insts);
+    let ladder = CompiledMachine::new(&program)
+        .capture_ladder(&base, 3)
+        .expect("captures")
+        .expect("the golden run completes");
+    assert!(ladder.len() > 8, "{} checkpoints", ladder.len());
+
+    // (a) and (b): every value target. Stuck-at-0 on bit 62 changes no
+    // integer here, so every fault outside an `icmp` result leaves the
+    // golden state and reconverges at the first checkpoint at or after
+    // the instruction it fires on.
+    let (mut call_results, mut before_checkpoint) = (0, 0);
+    for target in 0..clean.eligible_results {
+        for (model, bit) in [(FaultModel::SingleBit, 61), (FaultModel::StuckValue, 62)] {
+            let label = format!("calls/{model} t={target} b={bit}");
+            let config = RunConfig {
+                injection: Some(Injection::for_model(model, target, bit)),
+                max_insts: budget,
+                ..base.clone()
+            };
+            let full = run_both(&label, &module, &mut machine, &config);
+            let (resumed, skipped) = machine.run_checkpointed(&config, &ladder).unwrap();
+            assert_identical(&format!("{label} from the ladder"), &full, &resumed);
+            let (fid, id) = full.injected_site.expect("every target fires");
+            let inst = module.function(fid).inst(id);
+            if matches!(
+                inst,
+                ipas::ir::Inst::Call {
+                    callee: ipas::ir::inst::Callee::Func(_),
+                    ..
+                }
+            ) {
+                call_results += 1;
+            }
+            if model != FaultModel::StuckValue || inst.result_type() == ipas::ir::Type::Bool {
+                continue;
+            }
+            let at = full.injected_at_inst.expect("every target fires");
+            let k = (0..ladder.len())
+                .find(|&k| ladder.position(k) >= at)
+                .expect("a checkpoint follows every fault");
+            before_checkpoint += usize::from(ladder.position(k) == at);
+            assert!(skipped.reconverged, "{label}: a fault that changes nothing");
+            assert_eq!(
+                skipped.suffix,
+                ladder.golden().dynamic_insts - ladder.position(k),
+                "{label}: reconverges at checkpoint {k}, the first after {at}"
+            );
+        }
+    }
+    assert!(call_results > 0, "no fault in a call result");
+    assert!(before_checkpoint > 0, "no fault right before a checkpoint");
+
+    // (c) Profiling runs with a value plan and with a branch plan: the
+    // branch hit takes the fast path, and the run must not hand over.
+    let plans = (0..clean.eligible_results)
+        .map(|t| Injection::at_global_index(t, 1))
+        .chain(
+            (0..clean.cond_branches).map(|t| Injection::for_model(FaultModel::BranchFlip, t, 0)),
+        );
+    for injection in plans {
+        let profiled = run_both(
+            &format!("calls/profile {injection:?}"),
+            &module,
+            &mut machine,
+            &RunConfig {
+                injection: Some(injection),
+                max_insts: budget,
+                profile_sites: true,
+                ..base.clone()
+            },
+        );
+        assert!(profiled.injected_site.is_some(), "{injection:?} fires");
+    }
+}
+
 #[test]
 fn engine_knob_round_trips_through_strings() {
     for engine in Engine::ALL {
