@@ -36,7 +36,8 @@
 //! With `--compare`, the harness measures nothing itself: it runs
 //! `BASELINE_BIN` (this harness built from another revision) and its own
 //! executable alternately, 3 repetitions per run, and reports both sides
-//! per row, the baseline/candidate ratio of the medians, each build's
+//! per row, the baseline/candidate ratio of the medians, the pairs in
+//! which the candidate was faster (`wins` of `pairs`), each build's
 //! ladder counts, and whether every run of both builds produced the
 //! same records (`identical`). This file and the crate's `src/lib.rs`
 //! use only APIs the previous revision has, so copied into an export of
@@ -355,19 +356,23 @@ fn compare(baseline: &str, out_path: &str, base_runs: usize, pairs: usize) {
             identity(cand),
             format!(
                 "{{\"baseline\": {}, \"candidate\": {}, \"ratio\": {ratio:.3}, \
-                 \"identical\": {}}}",
+                 \"wins\": {}, \"pairs\": {}, \"identical\": {}}}",
                 side(base, row.stats[0]),
                 side(cand, row.stats[1]),
+                row.wins,
+                row.pairs,
                 row.identical
             ),
         ));
         let q = |[m, q1, q3]: [f64; 3]| format!("{m:.3} [{q1:.3}, {q3:.3}]");
         println!(
-            "{:<24} {:>22} {:>22} {ratio:>6.2}x  snapshots {} -> {}, bytes {} -> {}, \
-             executed {} -> {}, identical {}",
+            "{:<24} {:>22} {:>22} {ratio:>6.2}x  faster in {} of {}, snapshots {} -> {}, \
+             bytes {} -> {}, executed {} -> {}, identical {}",
             cand[0],
             q(row.stats[0]),
             q(row.stats[1]),
+            row.wins,
+            row.pairs,
             base[5],
             cand[5],
             base[6],

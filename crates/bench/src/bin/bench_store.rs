@@ -27,7 +27,8 @@
 //! `BASELINE_BIN` (this harness built from another revision) and its own
 //! executable alternately, each filling its own store and timing 9
 //! rounds, and reports both sides per row, the baseline/candidate ratio
-//! of the medians, and whether every run of both sides derived the same
+//! of the medians, the pairs in which the candidate was faster (`wins`
+//! of `pairs`), and whether every run of both sides derived the same
 //! keys and wrote the same artifact bytes (`identical`). This file and
 //! the crate's `src/lib.rs` (which holds the shared `compare_runs`) use
 //! only APIs the previous revision has, so copied into an export of it
@@ -405,10 +406,13 @@ fn compare(baseline: &str, out_path: &str, pairs: usize) {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{name}\", \"ops\": {ops}, \"bytes\": {bytes}, \"baseline\": {}, \
-             \"candidate\": {}, \"ratio\": {:.3}, \"identical\": {}, \"digest\": \"{digest}\"}}{}",
+             \"candidate\": {}, \"ratio\": {:.3}, \"wins\": {}, \"pairs\": {}, \"identical\": {}, \
+             \"digest\": \"{digest}\"}}{}",
             side_json(row.stats[0]),
             side_json(row.stats[1]),
             base / cand,
+            row.wins,
+            row.pairs,
             row.identical,
             if i + 1 < rows.len() { "," } else { "" },
         );
@@ -421,12 +425,15 @@ fn compare(baseline: &str, out_path: &str, pairs: usize) {
             }
         };
         println!(
-            "{name:<22} baseline {:>9.1} µs{}  candidate {:>9.1} µs{}  {:>5.2}x  identical {}",
+            "{name:<22} baseline {:>9.1} µs{}  candidate {:>9.1} µs{}  {:>5.2}x  \
+             faster in {} of {}  identical {}",
             base * 1e6,
             rate(base),
             cand * 1e6,
             rate(cand),
             base / cand,
+            row.wins,
+            row.pairs,
             row.identical
         );
     }

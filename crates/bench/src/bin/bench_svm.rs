@@ -25,8 +25,9 @@
 //! With `--compare`, the harness measures nothing itself: it runs
 //! `BASELINE_BIN` (this harness built from another revision) and its own
 //! executable alternately, one repetition per run, and reports both
-//! sides per set, the baseline/candidate ratio of the medians, and
-//! whether every run of both sides trained bit-identical models.
+//! sides per set, the baseline/candidate ratio of the medians, the pairs
+//! in which the candidate was faster (`wins` of `pairs`), and whether
+//! every run of both sides trained bit-identical models.
 //!
 //! Environment:
 //! * `IPAS_BENCH_RUNS` — training-campaign sizes, comma-separated
@@ -288,16 +289,22 @@ fn compare(baseline: &str, out_path: &str, reps: usize) {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{name}\", \"runs\": {runs}, {shape}, \"baseline\": {}, \
-             \"candidate\": {}, \"ratio\": {:.3}, \"identical\": {}, \"digest\": \"{digest}\"}}{}",
+             \"candidate\": {}, \"ratio\": {:.3}, \"wins\": {}, \"pairs\": {}, \"identical\": {}, \
+             \"digest\": \"{digest}\"}}{}",
             side_json(row.stats[0]),
             side_json(row.stats[1]),
             base / cand,
+            row.wins,
+            row.pairs,
             row.identical,
             if i + 1 < rows.len() { "," } else { "" },
         );
         println!(
-            "{name:<24} baseline {base:>8.3} s  candidate {cand:>8.3} s  {:>5.2}x  identical {}",
+            "{name:<24} baseline {base:>8.3} s  candidate {cand:>8.3} s  {:>5.2}x  \
+             faster in {} of {}  identical {}",
             base / cand,
+            row.wins,
+            row.pairs,
             row.identical
         );
     }

@@ -488,6 +488,11 @@ pub struct ComparedRow {
     pub fields: [Vec<String>; 2],
     /// `[median, q1, q3]` of the row's time, baseline then candidate.
     pub stats: [[f64; 3]; 2],
+    /// Pairs in which the candidate's time was lower than the
+    /// baseline's; a tie counts for neither build.
+    pub wins: usize,
+    /// Pairs run.
+    pub pairs: usize,
     /// Whether every run of both builds printed the same fields, the
     /// time aside, and the per-build fields alike within each build.
     pub identical: bool,
@@ -502,6 +507,7 @@ pub struct ComparedRow {
 /// at field `seconds`. The fields at `per_build` describe the build
 /// (say, how much state it keeps): each build's runs must agree on
 /// them, the two builds need not. `tag` prefixes the progress lines.
+/// Each row counts the pairs in which the candidate was faster.
 ///
 /// # Panics
 ///
@@ -527,6 +533,23 @@ pub fn compare_runs(
             sides[side].push(run_harness(tag, bin, reps));
         }
     }
+    summarize(&sides, seconds, per_build)
+}
+
+/// The rows of a `--compare` run from its runs, `sides[0]` the
+/// baseline's and `sides[1]` the candidate's, run `k` of each side from
+/// pair `k`; each run is one list of fields per row. `seconds` and
+/// `per_build` are as in [`compare_runs`].
+///
+/// # Panics
+///
+/// When the runs disagree on the rows they measure, or a time does not
+/// parse.
+fn summarize(
+    sides: &[Vec<Vec<Vec<String>>>; 2],
+    seconds: usize,
+    per_build: &[usize],
+) -> Vec<ComparedRow> {
     let first = &sides[1][0];
     let names = |run: &[Vec<String>]| run.iter().map(|f| f[0].clone()).collect::<Vec<_>>();
     for run in sides.iter().flatten() {
@@ -545,21 +568,26 @@ pub fn compare_runs(
     (0..first.len())
         .map(|i| {
             let fields = [sides[0][0][i].clone(), sides[1][0][i].clone()];
-            let mut stats = [[0.0; 3]; 2];
             let mut identical = same(&fields[0], &fields[1], true);
-            for (side, runs) in sides.iter().enumerate() {
-                let times: Vec<f64> = runs
+            let times = [0, 1].map(|side| {
+                sides[side]
                     .iter()
                     .map(|run| {
                         identical &= same(&run[i], &fields[side], false);
-                        run[i][seconds].parse().expect("time in seconds")
+                        run[i][seconds].parse::<f64>().expect("time in seconds")
                     })
-                    .collect();
-                stats[side] = quartiles(&times);
-            }
+                    .collect::<Vec<_>>()
+            });
+            let wins = times[0]
+                .iter()
+                .zip(&times[1])
+                .filter(|(base, cand)| cand < base)
+                .count();
             ComparedRow {
                 fields,
-                stats,
+                stats: [quartiles(&times[0]), quartiles(&times[1])],
+                wins,
+                pairs: times[0].len(),
                 identical,
             }
         })
@@ -591,6 +619,42 @@ mod tests {
     fn quartiles_interpolate_between_order_statistics() {
         assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), [2.5, 1.75, 3.25]);
         assert_eq!(quartiles(&[7.0]), [7.0, 7.0, 7.0]);
+    }
+
+    #[test]
+    fn compared_rows_count_the_pairs_the_candidate_won() {
+        // Field 1 is the time; field 2 a per-build field.
+        let run = |a: &str, b: &str, kept: &str| {
+            vec![
+                vec!["a".to_string(), a.to_string(), kept.to_string()],
+                vec!["b".to_string(), b.to_string(), kept.to_string()],
+            ]
+        };
+        let baseline = vec![
+            run("2.0", "1.0", "x"),
+            run("2.0", "1.0", "x"),
+            run("2.0", "1.0", "x"),
+        ];
+        // Row a: faster, a tie, slower. Row b: slower in every pair.
+        let candidate = vec![
+            run("1.5", "1.5", "y"),
+            run("2.0", "1.5", "y"),
+            run("2.5", "1.5", "y"),
+        ];
+        let rows = summarize(&[baseline, candidate], 1, &[2]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].wins, rows[0].pairs), (1, 3));
+        assert_eq!((rows[1].wins, rows[1].pairs), (0, 3));
+        assert_eq!(rows[0].stats, [[2.0; 3], [2.0, 1.75, 2.25]]);
+        assert!(rows.iter().all(|r| r.identical));
+        assert!(
+            !summarize(
+                &[vec![run("1", "1", "x")], vec![run("1", "1", "y")]],
+                1,
+                &[]
+            )[0]
+            .identical
+        );
     }
 
     fn sample_summary() -> ExperimentSummary {
