@@ -508,6 +508,13 @@ pub fn evaluate_variant(
     })
 }
 
+/// The seed of a request's evaluation campaigns, derived from its
+/// training seed. `ipas protect` and [`run_experiment`] both evaluate at
+/// it, so they report the same numbers for one request.
+pub fn evaluation_seed(seed: u64) -> u64 {
+    seed ^ 0x00C0_FFEE
+}
+
 /// Runs the complete §6 protocol on one workload.
 ///
 /// # Errors
@@ -552,7 +559,7 @@ pub fn run_experiment(
     // --- Step 4 + evaluation campaigns. -----------------------------------
     let eval = CampaignConfig {
         runs: opts.eval_runs,
-        seed: opts.seed ^ 0x00C0_FFEE,
+        seed: evaluation_seed(opts.seed),
         threads: opts.threads,
         engine: opts.engine,
         fault_model: opts.fault_model,

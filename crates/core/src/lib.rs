@@ -68,8 +68,8 @@ pub use duplication::{
 };
 pub use experiment::{
     campaign_journal_path, campaign_summary, check_labels, classifier_stage, evaluate_variant,
-    evaluation_stage, memoized_protect, run_experiment, summary_key, training_key, training_stage,
-    ExperimentError, ExperimentOptions, ExperimentResult, VariantResult,
+    evaluation_seed, evaluation_stage, memoized_protect, run_experiment, summary_key, training_key,
+    training_stage, ExperimentError, ExperimentOptions, ExperimentResult, VariantResult,
 };
 pub use faultmodels::{compare_fault_models, model_breakdown, render_model_table, ModelBreakdown};
 pub use memo::{

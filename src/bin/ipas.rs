@@ -76,7 +76,7 @@ use std::process::ExitCode;
 
 use ipas::core::{
     campaign_summary, check_labels, classifier_stage, compare_fault_models, dataset_from_artifact,
-    evaluation_stage, memoized_protect, module_fingerprint, render_model_table,
+    evaluation_seed, evaluation_stage, memoized_protect, module_fingerprint, render_model_table,
     run_campaign_adaptive, summary_key, train_top_configs, training_key, training_set_artifact,
     training_stage, with_run_identity, AdaptiveParams, AdaptiveResult, ExperimentError, LabelKind,
     ProtectionPolicy, TrainedClassifier,
@@ -1569,7 +1569,7 @@ fn main() -> ExitCode {
             // Evaluation campaigns (memoized as summaries).
             let eval = CampaignConfig {
                 runs: eval_runs,
-                seed: seed ^ 0xE7A1,
+                seed: evaluation_seed(seed),
                 threads: 0,
                 engine,
                 fault_model,

@@ -410,10 +410,57 @@ fn journal_dir_is_created_and_holds_every_protect_campaign() {
     assert_eq!(
         names,
         [
-            "cli-ipas-seed57409.jsonl",
+            "cli-ipas-seed12646414.jsonl",
             "cli-training-seed2016.jsonl",
-            "cli-unprotected-seed57409.jsonl"
+            "cli-unprotected-seed12646414.jsonl"
         ]
+    );
+}
+
+/// `ipas protect` evaluates at the experiment driver's seed: the
+/// unprotected summary it stores equals the one `run_experiment` reports
+/// for the same source, seed and run counts.
+#[test]
+fn protect_evaluates_like_the_experiment_driver() {
+    use ipas::core::{campaign_summary, evaluation_seed, run_experiment, ExperimentOptions};
+    use ipas::faultsim::{CampaignConfig, Workload};
+    use ipas::store::{ArtifactKind, CampaignSummary, Store};
+
+    let dir = fresh_dir("eval-seed");
+    let path = write_temp("eval-seed.scil", CACHE_KERNEL);
+    let store_dir = dir.join("store");
+    succeed(protect(&path, &dir.join("a.ir")).env("IPAS_STORE_DIR", &store_dir));
+    let store = Store::open(&store_dir).expect("store opens");
+    let stored: Vec<CampaignSummary> = store
+        .list()
+        .expect("store lists")
+        .into_iter()
+        .filter(|e| e.kind == ArtifactKind::CampaignSummary)
+        .map(|e| store.get(&e.key).expect("reads").expect("present"))
+        .filter(|s: &CampaignSummary| s.workload == "unprotected")
+        .collect();
+    assert_eq!(stored.len(), 1, "{stored:?}");
+
+    // The CLI's defaults, at `protect`'s run counts.
+    let workload = Workload::serial("cli", ipas::lang::compile(CACHE_KERNEL).unwrap(), 1e-9)
+        .expect("golden run");
+    let opts = ExperimentOptions {
+        training_runs: 96,
+        eval_runs: 48,
+        top_n: 1,
+        ..ExperimentOptions::quick()
+    };
+    let result = run_experiment(&workload, &opts).expect("experiment runs");
+    let eval = CampaignConfig {
+        runs: opts.eval_runs,
+        seed: evaluation_seed(opts.seed),
+        threads: opts.threads,
+        engine: opts.engine,
+        fault_model: opts.fault_model,
+    };
+    assert_eq!(
+        stored[0],
+        campaign_summary("unprotected", &eval, &result.unprotected.campaign)
     );
 }
 
